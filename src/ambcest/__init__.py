@@ -16,17 +16,13 @@ from .channel import (
     LINK_COMPOSITE,
     LINK_DIRECT,
     LINKS,
-    ChannelRealization,
     CorrelationSpec,
-    ObservationTensor,
     SystemConfig,
     build_correlation_matrix,
     composite_correlation,
     derive_noise_and_alpha,
-    generate_pilot_frame,
     link_correlation,
     sample_gaussian_vector,
-    sample_realization,
     simulate_batch,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -73,7 +69,6 @@ __all__ = [
     "AmbcestError",
     "ArtifactError",
     "BatchNorm2D",
-    "ChannelRealization",
     "ConfigError",
     "Conv2D",
     "CorrelationSpec",
@@ -94,7 +89,6 @@ __all__ = [
     "NmseEstimate",
     "NmseReport",
     "NumericError",
-    "ObservationTensor",
     "ParameterError",
     "ReLU",
     "ReportRow",
@@ -115,7 +109,6 @@ __all__ = [
     "evaluate",
     "extract_effective_map",
     "generate_dataset",
-    "generate_pilot_frame",
     "grad_check",
     "grad_check_input",
     "link_correlation",
@@ -134,7 +127,6 @@ __all__ = [
     "nmse",
     "run_sweep",
     "sample_gaussian_vector",
-    "sample_realization",
     "save_checkpoint",
     "save_dataset",
     "simulate_batch",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SystemConfig, narrow_pilots, simulate_batch, widen_pilots
+from .channel import SystemConfig, simulate_batch, widen_pilots
 from .errors import MetricError, ShapeError, StateError
 from .estimators import MmseContext, matrix_mmse_map, nmse
 from .model import ResidualDenoiser

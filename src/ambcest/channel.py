@@ -152,90 +152,12 @@ def derive_noise_and_alpha(cfg: SystemConfig) -> tuple[float, float]:
     return sigma_u_sq, alpha
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the channel state: direct h, tag-reader g, composite w = h + alpha*f*g."""
-
-    h: np.ndarray
-    g: np.ndarray
-    w: np.ndarray
-    alpha: float
-    f: float
-
-    @classmethod
-    def from_links(cls, h: np.ndarray, g: np.ndarray, alpha: float, f: float) -> "ChannelRealization":
-        h = np.asarray(h, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
-        if h.shape != g.shape or h.ndim != 1:
-            raise ShapeError(f"h and g must be equal-length vectors, got {h.shape} and {g.shape}")
-        w = h + alpha * f * g
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g)) and np.isfinite(alpha)):
-            raise NumericError("channel realization contains non-finite entries")
-        return cls(h=h, g=g, w=w, alpha=alpha, f=f)
-
-
-def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one correlated channel realization at cfg's operating point."""
-    _, alpha = derive_noise_and_alpha(cfg)
-    h = sample_gaussian_vector(build_correlation_matrix(cfg.corr_h), rng)
-    g = sample_gaussian_vector(build_correlation_matrix(cfg.corr_g), rng)
-    return ChannelRealization.from_links(h, g, alpha, cfg.f)
-
-
-@dataclass
-class ObservationTensor:
-    """Stacked pilot observations, shape Ma x Mb x P, plus the generating truth if known."""
-
-    data: np.ndarray
-    link: str
-    truth: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3 or self.data.shape[2] < 1:
-            raise ShapeError(f"observation tensor must be Ma x Mb x P with P >= 1, got {self.data.shape}")
-        if self.link not in LINKS:
-            raise ParameterError(f"link must be one of {LINKS}, got {self.link!r}")
-        if self.truth is not None:
-            self.truth = np.ascontiguousarray(self.truth, dtype=np.float64)
-            if self.truth.shape != self.data.shape[:2]:
-                raise ShapeError("truth must match the Ma x Mb geometry of the observations")
-
-    @property
-    def pilots(self) -> int:
-        return self.data.shape[2]
-
-
 def vec_to_mat(x: np.ndarray, ma: int, mb: int) -> np.ndarray:
     """Reshape an M-vector to Ma x Mb, row-major."""
     x = np.asarray(x)
     if x.shape[-1] != ma * mb:
         raise ShapeError(f"cannot reshape length-{x.shape[-1]} vector to {ma}x{mb}")
     return x.reshape(*x.shape[:-1], ma, mb)
-
-
-def mat_to_vec(X: np.ndarray) -> np.ndarray:
-    """Flatten Ma x Mb (or batch thereof) back to M-vectors, row-major."""
-    X = np.asarray(X)
-    if X.ndim < 2:
-        raise ShapeError("expected at least a 2-D matrix")
-    return X.reshape(*X.shape[:-2], X.shape[-2] * X.shape[-1])
-
-
-def stack_pilots(samples: np.ndarray, ma: int, mb: int) -> np.ndarray:
-    """Stack P pilot vectors (P, M) into an Ma x Mb x P tensor (row-major per slice)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise ShapeError(f"expected (P, M) pilot samples, got shape {samples.shape}")
-    return np.ascontiguousarray(np.moveaxis(vec_to_mat(samples, ma, mb), 0, -1))
-
-
-def unstack_pilots(data: np.ndarray) -> np.ndarray:
-    """Inverse of stack_pilots: Ma x Mb x P tensor back to (P, M) vectors."""
-    data = np.asarray(data)
-    if data.ndim != 3:
-        raise ShapeError(f"expected Ma x Mb x P tensor, got shape {data.shape}")
-    return mat_to_vec(np.moveaxis(data, -1, 0))
 
 
 def widen_pilots(data: np.ndarray) -> np.ndarray:
@@ -250,45 +172,6 @@ def widen_pilots(data: np.ndarray) -> np.ndarray:
     ma, mb, p = data.shape[-3:]
     wide = np.moveaxis(data, -1, -2)  # (.., Ma, P, Mb)
     return np.ascontiguousarray(wide).reshape(*data.shape[:-3], ma, p * mb)
-
-
-def narrow_pilots(wide: np.ndarray, pilots: int) -> np.ndarray:
-    """Inverse of widen_pilots: (.., Ma, P*Mb) back to (.., Ma, Mb, P)."""
-    wide = np.asarray(wide)
-    if wide.ndim < 2 or wide.shape[-1] % pilots:
-        raise ShapeError(f"last dim of {wide.shape} is not divisible by P = {pilots}")
-    ma, mb = wide.shape[-2], wide.shape[-1] // pilots
-    stacked = wide.reshape(*wide.shape[:-2], ma, pilots, mb)
-    return np.ascontiguousarray(np.moveaxis(stacked, -2, -1))
-
-
-def generate_pilot_frame(
-    cfg: SystemConfig, real: ChannelRealization, rng: np.random.Generator
-) -> tuple[ObservationTensor, ObservationTensor]:
-    """Simulate the two pilot phases of one frame for a given channel realization.
-
-    Phase A: Na samples of h + u(n).  Phase B: Nb samples of w + u(n).
-    Noise is i.i.d. N(0, sigma_u^2 I_M); truth fields hold the reshaped h and w.
-    """
-    if real.h.shape[0] != cfg.m:
-        raise ShapeError(f"realization has M={real.h.shape[0]}, config expects {cfg.m}")
-    sigma_u_sq, alpha = derive_noise_and_alpha(cfg)
-    if not np.isclose(alpha, real.alpha) or not np.isclose(cfg.f, real.f):
-        raise ParameterError("realization was drawn at a different operating point than cfg")
-    sigma = np.sqrt(sigma_u_sq)
-    noise_a = sigma * rng.standard_normal((cfg.na, cfg.m))
-    noise_b = sigma * rng.standard_normal((cfg.nb, cfg.m))
-    phase_a = ObservationTensor(
-        data=stack_pilots(real.h[None, :] + noise_a, cfg.ma, cfg.mb),
-        link=LINK_DIRECT,
-        truth=vec_to_mat(real.h, cfg.ma, cfg.mb),
-    )
-    phase_b = ObservationTensor(
-        data=stack_pilots(real.w[None, :] + noise_b, cfg.ma, cfg.mb),
-        link=LINK_COMPOSITE,
-        truth=vec_to_mat(real.w, cfg.ma, cfg.mb),
-    )
-    return phase_a, phase_b
 
 
 def composite_correlation(cfg: SystemConfig) -> np.ndarray:

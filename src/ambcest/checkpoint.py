@@ -11,12 +11,12 @@ Layout (all little-endian):
 """
 
 import struct
-import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .artifact import read_artifact, write_artifact
+from .errors import FormatError, ParameterError
 from .model import RECON_CONV1X1, RECON_DENSE, DenoiserHyper, ResidualDenoiser, build_model
 
 MAGIC = b"CRLD"
@@ -41,34 +41,31 @@ def save_checkpoint(model: ResidualDenoiser, path: str | Path) -> None:
         hp.kernel_size,
         _RECON_CODES[hp.recon],
     )
-    chunks = [header]
-    for arr in model.named_parameters().values():
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    for arr in model.named_running_stats().values():
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    body = b"".join(chunks)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    Path(path).write_bytes(body + struct.pack("<I", crc))
+    arrays = [*model.named_parameters().values(), *model.named_running_stats().values()]
+    write_artifact(path, [header] + [np.ascontiguousarray(a, dtype="<f8") for a in arrays])
 
 
 def load_checkpoint(path: str | Path) -> ResidualDenoiser:
-    """Reconstruct a model from a checkpoint file; the mode is left unset."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size + 4:
-        raise FormatError(f"checkpoint {path} is truncated (only {len(raw)} bytes)")
-    magic, version, b, l, f, ma, mb, p, k, recon_code = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r} in {path}: not a checkpoint file")
+    """Reconstruct a model from a checkpoint file; the mode is left unset.
+
+    The CRC covers the header, so a corrupted header is reported as a corrupt file
+    before any of its fields sizes a model.
+    """
+    raw = read_artifact(path, MAGIC, _HEADER.size)
+    _, version, b, l, f, ma, mb, p, k, recon_code = _HEADER.unpack_from(raw, 0)
     if version != VERSION:
         raise FormatError(
             f"unsupported checkpoint version {version} in {path}; supported versions: {VERSION}"
         )
     if recon_code not in _RECON_NAMES:
         raise FormatError(f"unknown reconstruction-layer code {recon_code} in {path}")
-    hyper = DenoiserHyper(
-        blocks=b, layers_per_block=l, filters=f, ma=ma, mb=mb, pilots=p,
-        kernel_size=k, recon=_RECON_NAMES[recon_code],
-    )
+    try:
+        hyper = DenoiserHyper(
+            blocks=b, layers_per_block=l, filters=f, ma=ma, mb=mb, pilots=p,
+            kernel_size=k, recon=_RECON_NAMES[recon_code],
+        )
+    except ParameterError as exc:
+        raise FormatError(f"checkpoint {path} has an invalid header: {exc}") from exc
     model = build_model(hyper, rng=0)  # placeholder init, overwritten below
     slots = dict(model.named_parameters())
     slots.update(model.named_running_stats())
@@ -78,10 +75,6 @@ def load_checkpoint(path: str | Path) -> ResidualDenoiser:
         raise FormatError(
             f"checkpoint {path} has {len(raw)} bytes, expected {expected} for this header"
         )
-    crc_stored = struct.unpack_from("<I", raw, len(raw) - 4)[0]
-    crc_actual = zlib.crc32(raw[:-4]) & 0xFFFFFFFF
-    if crc_stored != crc_actual:
-        raise FormatError(f"checkpoint {path} failed its CRC32 integrity check")
     flat = np.frombuffer(raw, dtype="<f8", count=n_floats, offset=_HEADER.size)
     offset = 0
     for arr in slots.values():

@@ -8,6 +8,7 @@ failure.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -67,15 +68,11 @@ def _load_run(args) -> tuple:
         cfg, plan, opts = SystemConfig(), ExperimentPlan(), TrainOptions()
     if args.seed is not None:
         cfg = cfg.with_(seed=args.seed)
-        opts = TrainOptions(
-            **{**opts.__dict__, "seed": args.seed}
-        )
-    if getattr(args, "trials", None) is not None:
-        plan = ExperimentPlan(**{**plan.__dict__, "trials": args.trials})
-    if getattr(args, "out", None) is not None:
-        plan = ExperimentPlan(**{**plan.__dict__, "out": args.out})
+        opts = replace(opts, seed=args.seed)
+    overrides = {k: getattr(args, k) for k in ("trials", "out") if getattr(args, k, None) is not None}
     if getattr(args, "strict", False):
-        opts = TrainOptions(**{**opts.__dict__, "strict_determinism": True})
+        overrides["strict"] = True
+    plan = replace(plan, **overrides)
     return cfg, plan, opts
 
 
@@ -152,9 +149,8 @@ def cmd_sweep(args) -> int:
         train_k=args.train_k,
         workers=args.workers,
     )
-    strict = opts.strict_determinism
-    report.to_csv(plan.out, strict=strict)
-    print(f"wrote {plan.out}: {len(report.rows)} rows" + (" (strict)" if strict else ""))
+    report.to_csv(plan.out, strict=plan.strict)
+    print(f"wrote {plan.out}: {len(report.rows)} rows" + (" (strict)" if plan.strict else ""))
     return 0
 
 
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", default="checkpoints", metavar="PATH")
     p.add_argument("--train", action="store_true", help="train missing checkpoints")
     p.add_argument("--train-k", type=int, default=50_000, help="examples when training")
-    p.add_argument("--strict", action="store_true", help="byte-stable CSV output")
+    p.add_argument("--strict", action="store_true", help="zero report wall times (byte-stable CSV)")
     p.add_argument("--workers", type=int, default=1, help="thread workers across points")
     p.set_defaults(handler=cmd_sweep)
 
@@ -242,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--link", choices=LINKS, default=LINK_DIRECT)
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("complexity", help="per-estimate multiply counts and wall times")
+    p = sub.add_parser("complexity", help="per-estimate multiply counts")
     _add_common(p)
     _add_hyper(p)
     p.set_defaults(handler=cmd_complexity)

@@ -54,6 +54,7 @@ _KEYS = {
     "links": ("plan", "links", _parse_list),
     "trials": ("plan", "trials", int),
     "out": ("plan", "out", str),
+    "strict": ("plan", "strict", _parse_bool),
     # training
     "batch_size": ("train", "batch_size", int),
     "max_epochs": ("train", "max_epochs", int),
@@ -63,7 +64,6 @@ _KEYS = {
     "learning_rate": ("train", "learning_rate", float),
     "momentum": ("train", "momentum", float),
     "train_seed": ("train", "seed", int),
-    "strict": ("train", "strict_determinism", _parse_bool),
 }
 
 
@@ -147,6 +147,7 @@ def dump_config(cfg: SystemConfig, plan: ExperimentPlan, opts: TrainOptions) -> 
         ("links", plan.links),
         ("trials", plan.trials),
         ("out", plan.out),
+        ("strict", plan.strict),
         ("batch_size", opts.batch_size),
         ("max_epochs", opts.max_epochs),
         ("patience", opts.patience),
@@ -155,6 +156,5 @@ def dump_config(cfg: SystemConfig, plan: ExperimentPlan, opts: TrainOptions) -> 
         ("learning_rate", opts.learning_rate),
         ("momentum", opts.momentum),
         ("train_seed", opts.seed),
-        ("strict", opts.strict_determinism),
     ]
     return "\n".join(f"{k}={_fmt(v)}" for k, v in pairs) + "\n"

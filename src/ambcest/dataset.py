@@ -7,11 +7,11 @@ arrays, and a CRC32 trailer.
 """
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import read_artifact, write_artifact
 from .channel import (
     LINK_COMPOSITE,
     LINK_DIRECT,
@@ -108,23 +108,17 @@ def save_dataset(ds: Dataset, path: str) -> None:
         cfg.corr_h.rho,
         cfg.corr_g.rho,
     )
-    payload = bytearray(header)
-    payload += np.ascontiguousarray(ds.y, dtype="<f8").tobytes()
-    payload += np.ascontiguousarray(ds.x, dtype="<f8").tobytes()
-    payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    write_artifact(path, [
+        header,
+        np.ascontiguousarray(ds.y, dtype="<f8"),
+        np.ascontiguousarray(ds.x, dtype="<f8"),
+    ])
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read an AMBD container back, validating magic, version, geometry, and CRC."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size + 4:
-        raise FormatError(f"{path}: file too short for an AMBD header")
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    fields = _HEADER.unpack(blob[: _HEADER.size])
+    """Read an AMBD container back, validating magic, CRC, version, and geometry."""
+    blob = read_artifact(path, MAGIC, _HEADER.size)
+    fields = _HEADER.unpack_from(blob, 0)
     (_, version, k, m, ma, mb, pilots, na, nb, seed, link_code,
      corr_h_code, corr_g_code, snr_db, zeta_db, f, rho_h, rho_g) = fields
     if version != VERSION:
@@ -137,30 +131,30 @@ def load_dataset(path: str) -> Dataset:
         raise FormatError(
             f"{path}: expected {expected} bytes for K={k}, got {len(blob)} (truncated?)"
         )
-    stored_crc, = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise FormatError(f"{path}: CRC mismatch (corrupted payload)")
-    cfg = SystemConfig(
-        m=m,
-        ma=ma,
-        mb=mb,
-        snr_db=snr_db,
-        zeta_db=zeta_db,
-        f=f,
-        corr_h=CorrelationSpec(model=_CORR_NAMES[corr_h_code], rho=rho_h, dim=m),
-        corr_g=CorrelationSpec(model=_CORR_NAMES[corr_g_code], rho=rho_g, dim=m),
-        na=na,
-        nb=nb,
-        seed=seed,
-    )
     off = _HEADER.size
     ny = 8 * k * ma * mb * pilots
     y = np.frombuffer(blob, dtype="<f8", count=k * ma * mb * pilots, offset=off)
     x = np.frombuffer(blob, dtype="<f8", count=k * ma * mb, offset=off + ny)
-    return Dataset(
-        y=y.reshape(k, ma, mb, pilots).copy(),
-        x=x.reshape(k, ma, mb).copy(),
-        cfg=cfg,
-        link=_LINK_NAMES[link_code],
-        seed=seed,
-    )
+    try:
+        cfg = SystemConfig(
+            m=m,
+            ma=ma,
+            mb=mb,
+            snr_db=snr_db,
+            zeta_db=zeta_db,
+            f=f,
+            corr_h=CorrelationSpec(model=_CORR_NAMES[corr_h_code], rho=rho_h, dim=m),
+            corr_g=CorrelationSpec(model=_CORR_NAMES[corr_g_code], rho=rho_g, dim=m),
+            na=na,
+            nb=nb,
+            seed=seed,
+        )
+        return Dataset(
+            y=y.reshape(k, ma, mb, pilots).copy(),
+            x=x.reshape(k, ma, mb).copy(),
+            cfg=cfg,
+            link=_LINK_NAMES[link_code],
+            seed=seed,
+        )
+    except (ParameterError, ShapeError) as exc:
+        raise FormatError(f"{path}: invalid header: {exc}") from exc

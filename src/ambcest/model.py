@@ -18,6 +18,9 @@ RECON_CONV1X1 = "conv1x1"
 RECON_DENSE = "dense"
 RECON_KINDS = (RECON_CONV1X1, RECON_DENSE)
 
+# examples per forward call in predict(): bounds the activations and im2col buffers
+PREDICT_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class DenoiserHyper:
@@ -163,6 +166,18 @@ class ResidualDenoiser:
             y, _ = block.forward(y)
         x_hat = self._recon_forward(y)
         return x_hat[0] if single else x_hat
+
+    def predict(self, y: np.ndarray) -> np.ndarray:
+        """Eval-mode forward over a batch (n, Ma, Mb, P) -> (n, Ma, Mb), PREDICT_CHUNK at a time."""
+        if self.mode != "eval":
+            raise StateError("prediction requires eval mode (call eval_mode() first)")
+        y = np.asarray(y)
+        if y.ndim != 4:
+            raise ShapeError(f"predict takes a batch (n, Ma, Mb, P), got shape {y.shape}")
+        out = np.empty((y.shape[0], self.hyper.ma, self.hyper.mb))
+        for lo in range(0, y.shape[0], PREDICT_CHUNK):
+            out[lo : lo + PREDICT_CHUNK] = self.forward(y[lo : lo + PREDICT_CHUNK])
+        return out
 
     def _recon_forward(self, y: np.ndarray) -> np.ndarray:
         hp = self.hyper

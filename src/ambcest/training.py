@@ -13,13 +13,11 @@ import numpy as np
 
 from .channel import SystemConfig, simulate_batch
 from .dataset import Dataset
-from .errors import NumericError, ParameterError, StateError
+from .errors import NumericError, ParameterError
 from .estimators import NmseEstimate, nmse
 from .layers import mse_loss
 from .model import ResidualDenoiser
 from .optim import make_optimizer
-
-_EVAL_CHUNK = 256  # forward-pass chunk size for validation / evaluation
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,6 @@ class TrainOptions:
     learning_rate: float = 1e-3
     momentum: float = 0.9      # used by the sgd optimizer only
     seed: int = 0              # drives the split and the batch shuffle
-    strict_determinism: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -90,13 +87,9 @@ def _split_indices(k: int, val_fraction: float, rng: np.random.Generator):
 
 
 def _mean_loss(model: ResidualDenoiser, y: np.ndarray, x: np.ndarray) -> float:
-    """Per-example mean of the summed squared error, computed in chunks."""
-    total = 0.0
-    for lo in range(0, y.shape[0], _EVAL_CHUNK):
-        pred = model.forward(y[lo : lo + _EVAL_CHUNK])
-        loss, _ = mse_loss(pred, x[lo : lo + _EVAL_CHUNK])
-        total += loss
-    return total / y.shape[0]
+    """Per-example mean of the summed squared error of an eval-mode model."""
+    loss, _ = mse_loss(model.predict(y), x)
+    return loss / y.shape[0]
 
 
 def train(
@@ -197,11 +190,5 @@ def evaluate(
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    if model.mode != "eval":
-        raise StateError("evaluation requires eval mode (call eval_mode() first)")
     y, x = simulate_batch(cfg, link, trials, rng)
-    preds = np.empty_like(x)
-    for lo in range(0, trials, _EVAL_CHUNK):
-        preds[lo : lo + _EVAL_CHUNK] = model.forward(y[lo : lo + _EVAL_CHUNK])
-    n = trials
-    return nmse(x.reshape(n, -1), preds.reshape(n, -1))
+    return nmse(x.reshape(trials, -1), model.predict(y).reshape(trials, -1))

@@ -1,0 +1,117 @@
+"""Artifact-file tests: atomic replacement on a failed write, and corruption properties."""
+
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ambcest import (
+    DenoiserHyper,
+    FormatError,
+    build_model,
+    generate_dataset,
+    load_checkpoint,
+    load_dataset,
+    save_checkpoint,
+    save_dataset,
+)
+from ambcest import artifact
+from conftest import iid_config
+
+TINY = DenoiserHyper(blocks=1, layers_per_block=2, filters=2, ma=2, mb=2, pilots=2)
+
+
+def _dataset(seed):
+    return generate_dataset(iid_config(m=4, ma=2, mb=2), "direct", 3, seed=seed)
+
+
+# (suffix, save, load, first object, second object)
+KINDS = {
+    "ckpt": (save_checkpoint, load_checkpoint, lambda: build_model(TINY, rng=0),
+             lambda: build_model(TINY, rng=1)),
+    "ambd": (save_dataset, load_dataset, lambda: _dataset(0), lambda: _dataset(1)),
+}
+
+
+class _HalfWriter:
+    """A file stand-in that writes half of the first chunk, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        view = memoryview(chunk).cast("B")
+        self.fh.write(view[: len(view) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("suffix", sorted(KINDS))
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, suffix):
+        save, load, first, second = KINDS[suffix]
+        path = tmp_path / f"artifact.{suffix}"
+        save(first(), str(path))
+        before = path.read_bytes()
+        monkeypatch.setattr(artifact, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save(second(), str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_rewrite_replaces_the_file(self, tmp_path, suffix):
+        save, load, first, second = KINDS[suffix]
+        path = tmp_path / f"artifact.{suffix}"
+        save(first(), str(path))
+        save(second(), str(path))
+        other = tmp_path / f"other.{suffix}"
+        save(second(), str(other))
+        assert path.read_bytes() == other.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == sorted([path.name, other.name])
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("good")
+    out = {}
+    for suffix, (save, _, first, _) in KINDS.items():
+        path = root / f"good.{suffix}"
+        save(first(), str(path))
+        out[suffix] = path.read_bytes()
+    return out
+
+
+@pytest.fixture(scope="module")
+def corrupt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt")
+
+
+@pytest.mark.parametrize("suffix", sorted(KINDS))
+class TestCorruptionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_single_bit_flip_is_a_format_error(self, good_files, corrupt_dir, suffix, data):
+        raw = bytearray(good_files[suffix])
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+        path = corrupt_dir / f"flipped.{suffix}"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            KINDS[suffix][1](str(path))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_is_a_format_error(self, good_files, corrupt_dir, suffix, data):
+        raw = good_files[suffix]
+        keep = data.draw(st.integers(0, len(raw) - 1), label="kept bytes")
+        path = corrupt_dir / f"truncated.{suffix}"
+        path.write_bytes(raw[:keep])
+        with pytest.raises(FormatError):
+            KINDS[suffix][1](str(path))

@@ -1,10 +1,9 @@
-"""Simulator tests: correlation models, derived constants, pilot frames, reshapes."""
+"""Simulator tests: correlation models, derived constants, pilot tensors, reshapes."""
 
 import numpy as np
 import pytest
 
 from ambcest import (
-    ChannelRealization,
     CorrelationSpec,
     NumericError,
     ParameterError,
@@ -12,21 +11,11 @@ from ambcest import (
     build_correlation_matrix,
     composite_correlation,
     derive_noise_and_alpha,
-    generate_pilot_frame,
     link_correlation,
     sample_gaussian_vector,
-    sample_realization,
     simulate_batch,
 )
-from ambcest.channel import (
-    mat_to_vec,
-    narrow_pilots,
-    pilots_for_link,
-    stack_pilots,
-    unstack_pilots,
-    vec_to_mat,
-    widen_pilots,
-)
+from ambcest.channel import pilots_for_link, vec_to_mat, widen_pilots
 from conftest import iid_config
 
 
@@ -125,43 +114,49 @@ class TestSystemConfig:
             SystemConfig(na=0)
 
 
+def replay(cfg, link, n, seed):
+    """Redraw simulate_batch's channels and noise from the same generator, in its order.
+
+    Returns the channel vectors (n, M) and the noise (n, P, M).
+    """
+    rng = np.random.default_rng(seed)
+    x = sample_gaussian_vector(build_correlation_matrix(cfg.corr_h), rng, size=n)
+    if link == "composite":
+        g = sample_gaussian_vector(build_correlation_matrix(cfg.corr_g), rng, size=n)
+        x = x + cfg.alpha * cfg.f * g
+    p = pilots_for_link(cfg, link)
+    noise = np.sqrt(cfg.sigma_u_sq) * rng.standard_normal((n, p, cfg.m))
+    return x, noise
+
+
 class TestRealization:
-    def test_composite_is_h_plus_scaled_g(self, rng):
-        h = rng.standard_normal(8)
-        g = rng.standard_normal(8)
-        real = ChannelRealization.from_links(h, g, alpha=0.5, f=2.0)
-        assert np.array_equal(real.w, h + g)
-
-    def test_sample_shapes(self, rng):
-        real = sample_realization(SystemConfig(), rng)
-        assert real.h.shape == real.g.shape == real.w.shape == (64,)
-
-    def test_sample_deterministic(self):
-        cfg = SystemConfig()
-        a = sample_realization(cfg, np.random.default_rng(3))
-        b = sample_realization(cfg, np.random.default_rng(3))
-        assert np.array_equal(a.h, b.h) and np.array_equal(a.w, b.w)
+    def test_composite_is_h_plus_scaled_g(self):
+        cfg = SystemConfig(zeta_db=-3.0, f=1.5)
+        _, x = simulate_batch(cfg, "composite", 5, np.random.default_rng(4))
+        w, _ = replay(cfg, "composite", 5, seed=4)
+        assert np.array_equal(x, w.reshape(5, 8, 8))
 
 
 class TestReshapes:
     def test_vec_mat_round_trip(self, rng):
-        x = rng.standard_normal(12)
-        assert np.array_equal(mat_to_vec(vec_to_mat(x, 3, 4)), x)
+        # reshape(n, -1), the flatten the scorers apply to truths, inverts vec_to_mat
+        x = rng.standard_normal((5, 12))
+        assert np.array_equal(vec_to_mat(x, 3, 4).reshape(5, -1), x)
 
     def test_vec_to_mat_is_row_major(self):
         X = vec_to_mat(np.arange(6.0), 2, 3)
         assert np.array_equal(X, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
 
-    def test_stack_unstack_round_trip(self, rng):
-        samples = rng.standard_normal((3, 12))
-        assert np.array_equal(unstack_pilots(stack_pilots(samples, 3, 4)), samples)
-
-    def test_stack_layout(self, rng):
-        samples = rng.standard_normal((2, 6))
-        t = stack_pilots(samples, 2, 3)
-        assert t.shape == (2, 3, 2)
-        assert t[1, 2, 0] == samples[0, 5]
-        assert t[0, 1, 1] == samples[1, 1]
+    def test_stack_layout(self):
+        # y[k, a, b, p] is entry a*Mb + b of pilot sample p of draw k
+        cfg = SystemConfig(m=6, ma=2, mb=3, na=2)
+        y, _ = simulate_batch(cfg, "direct", 4, np.random.default_rng(8))
+        h, noise = replay(cfg, "direct", 4, seed=8)
+        samples = h[:, None, :] + noise  # (n, P, M)
+        assert y.shape == (4, 2, 3, 2)
+        assert y[3, 1, 2, 0] == samples[3, 0, 5]
+        assert y[0, 0, 1, 1] == samples[0, 1, 1]
+        assert np.array_equal(np.moveaxis(y, -1, 1).reshape(4, 2, 6), samples)
 
     def test_widen_layout(self, rng):
         data = rng.standard_normal((5, 2, 3, 4))  # batch of Ma=2, Mb=3, P=4
@@ -171,39 +166,33 @@ class TestReshapes:
             for b in range(3):
                 assert np.array_equal(wide[..., :, p * 3 + b], data[..., :, b, p])
 
-    def test_widen_narrow_round_trip(self, rng):
-        data = rng.standard_normal((2, 4, 4, 2))
-        assert np.array_equal(narrow_pilots(widen_pilots(data), 2), data)
-
 
 class TestPilotFrames:
-    def test_truth_is_reshaped_channel(self, rng):
+    def test_truth_is_reshaped_channel(self):
         cfg = SystemConfig()
-        real = sample_realization(cfg, rng)
-        obs_a, obs_b = generate_pilot_frame(cfg, real, rng)
-        assert np.array_equal(obs_a.truth, real.h.reshape(8, 8))
-        assert np.array_equal(obs_b.truth, real.w.reshape(8, 8))
-        assert obs_a.link == "direct" and obs_b.link == "composite"
+        _, x = simulate_batch(cfg, "direct", 3, np.random.default_rng(2))
+        h, _ = replay(cfg, "direct", 3, seed=2)
+        assert np.array_equal(x, h.reshape(3, 8, 8))
 
-    def test_noiseless_slices_equal_truth(self, rng):
-        cfg = iid_config(snr_db=float("inf"))
-        real = sample_realization(cfg, rng)
-        obs_a, obs_b = generate_pilot_frame(cfg, real, rng)
-        for obs in (obs_a, obs_b):
-            for p in range(obs.pilots):
-                assert np.array_equal(obs.data[:, :, p], obs.truth)
+    def test_noiseless_slices_equal_truth(self):
+        cfg = iid_config(snr_db=float("inf"), na=2, nb=3)
+        for link in ("direct", "composite"):
+            y, x = simulate_batch(cfg, link, 4, np.random.default_rng(0))
+            for p in range(y.shape[-1]):
+                assert np.array_equal(y[..., p], x)
 
-    def test_pilot_counts_follow_config(self, rng):
+    def test_pilot_counts_follow_config(self):
         cfg = SystemConfig(na=3, nb=5)
-        obs_a, obs_b = generate_pilot_frame(cfg, sample_realization(cfg, rng), rng)
-        assert obs_a.pilots == 3 and obs_b.pilots == 5
+        y_a, _ = simulate_batch(cfg, "direct", 2, np.random.default_rng(0))
+        y_b, _ = simulate_batch(cfg, "composite", 2, np.random.default_rng(0))
+        assert y_a.shape[-1] == 3 and y_b.shape[-1] == 5
 
     def test_frame_deterministic(self):
         cfg = SystemConfig()
-        real = sample_realization(cfg, np.random.default_rng(1))
-        a1, b1 = generate_pilot_frame(cfg, real, np.random.default_rng(2))
-        a2, b2 = generate_pilot_frame(cfg, real, np.random.default_rng(2))
-        assert np.array_equal(a1.data, a2.data) and np.array_equal(b1.data, b2.data)
+        for link in ("direct", "composite"):
+            y1, x1 = simulate_batch(cfg, link, 3, np.random.default_rng(2))
+            y2, x2 = simulate_batch(cfg, link, 3, np.random.default_rng(2))
+            assert np.array_equal(y1, y2) and np.array_equal(x1, x2)
 
 
 class TestBatchSimulation:

@@ -160,6 +160,18 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_flipped_checkpoint_header_bit_is_3(self, tmp_path, config, capsys):
+        data = gen_small_dataset(tmp_path, config)
+        ckpt = tmp_path / "model.ckpt"
+        main(["train", "--config", config, "--data", data, "--out", str(ckpt)] + TINY_NET)
+        capsys.readouterr()
+        raw = bytearray(ckpt.read_bytes())
+        raw[32] ^= 0x01  # low bit of the kernel_size header field: 3 becomes 2
+        ckpt.write_bytes(bytes(raw))
+        code = main(["eval", "--config", config, "--checkpoint", str(ckpt), "--trials", "200"])
+        assert code == 3
+        assert "CRC32" in capsys.readouterr().err
+
     def test_numeric_divergence_is_4(self, tmp_path, capsys):
         conf = tmp_path / "diverge.conf"
         conf.write_text(

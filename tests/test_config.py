@@ -1,6 +1,8 @@
 """Config-file tests: parsing, diagnostics with line numbers, dump round-trip."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambcest import ConfigError, CorrelationSpec, SystemConfig, TrainOptions
 from ambcest.config import dump_config, parse_config, parse_config_text
@@ -41,7 +43,7 @@ class TestParsing:
         assert plan.axis == "pilots" and plan.values == (2, 4, 8)
         assert plan.methods == ("ls", "mmse") and plan.trials == 500
         assert opts.batch_size == 64 and opts.learning_rate == 0.003
-        assert opts.strict_determinism is True
+        assert plan.strict is True
 
     def test_comments_and_blank_lines_skipped(self):
         cfg, _, _ = parse_config_text("# just a comment\n\nm=16\nma=4\nmb=4\n")
@@ -124,3 +126,53 @@ class TestDumpRoundTrip:
         )
         with pytest.raises(ConfigError):
             dump_config(cfg, ExperimentPlan(), TrainOptions())
+
+
+finite = st.floats(-40.0, 40.0, allow_nan=False)
+
+
+@st.composite
+def run_configs(draw):
+    """Random valid (SystemConfig, ExperimentPlan, TrainOptions) triples."""
+    ma, mb = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    spec = CorrelationSpec(
+        draw(st.sampled_from(["identity", "exponential"])), draw(st.floats(0.0, 0.99)), ma * mb
+    )
+    cfg = SystemConfig(
+        m=ma * mb, ma=ma, mb=mb,
+        snr_db=draw(finite | st.just(float("inf"))),
+        zeta_db=draw(finite | st.just(float("-inf"))),
+        f=draw(st.floats(0.1, 10.0)),
+        corr_h=spec, corr_g=spec,
+        na=draw(st.integers(1, 8)), nb=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**31)),
+    )
+    axis = draw(st.sampled_from(["snr", "pilots"]))
+    values = st.integers(1, 64) if axis == "pilots" else finite
+    plan = ExperimentPlan(
+        axis=axis,
+        values=tuple(draw(st.lists(values, min_size=1, max_size=5))),
+        methods=tuple(draw(st.lists(st.sampled_from(["ls", "mmse", "crld"]), min_size=1, unique=True))),
+        links=tuple(draw(st.lists(st.sampled_from(["direct", "composite"]), min_size=1, unique=True))),
+        trials=draw(st.integers(100, 10**6)),
+        out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True)),
+        strict=draw(st.booleans()),
+    )
+    opts = TrainOptions(
+        batch_size=draw(st.integers(1, 1024)),
+        max_epochs=draw(st.integers(1, 500)),
+        patience=draw(st.integers(1, 50)),
+        val_fraction=draw(st.floats(0.01, 0.99)),
+        optimizer=draw(st.sampled_from(["adam", "sgd_momentum"])),
+        learning_rate=draw(st.floats(1e-6, 1.0)),
+        momentum=draw(st.floats(0.0, 0.99)),
+        seed=draw(st.integers(0, 2**31)),
+    )
+    return cfg, plan, opts
+
+
+class TestDumpRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(run=run_configs())
+    def test_dump_then_parse_is_the_identity(self, run):
+        assert parse_config_text(dump_config(*run)) == run

@@ -1,5 +1,8 @@
 """Dataset tests: generation statistics, container round-trip, corruption detection."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,15 @@ class TestContainerValidation:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
+            load_dataset(str(path))
+
+    def test_invalid_header_under_a_valid_crc_rejected(self, tmp_path):
+        path = self.write_good(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 12, 17)  # m no longer equals ma*mb = 16
+        body = bytes(raw[:-4])
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="invalid header"):
             load_dataset(str(path))
 
     def test_short_header_rejected(self, tmp_path):

@@ -18,6 +18,7 @@ from ambcest import (
     mse_loss,
     save_checkpoint,
 )
+from ambcest.model import PREDICT_CHUNK
 from conftest import set_model_to_ls
 
 TINY = DenoiserHyper(blocks=1, layers_per_block=3, filters=4, ma=4, mb=4, pilots=2)
@@ -89,6 +90,23 @@ class TestForward:
         model = build_model(TINY, rng=0).eval_mode()
         with pytest.raises(ShapeError):
             model.forward(rng.standard_normal((5, 4, 4, 3)))
+
+    def test_predict_runs_the_forward_in_chunks(self, rng, monkeypatch):
+        model = build_model(TINY, rng=0).eval_mode()
+        y = rng.standard_normal((PREDICT_CHUNK * 2 + 3, 4, 4, 2))
+        want = model.forward(y)
+        sizes = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda chunk: sizes.append(len(chunk)) or forward(chunk))
+        np.testing.assert_allclose(model.predict(y), want, rtol=1e-12, atol=1e-12)
+        assert sizes == [PREDICT_CHUNK, PREDICT_CHUNK, 3]
+
+    def test_predict_requires_eval_mode_and_a_batch(self, rng):
+        model = build_model(TINY, rng=0).train_mode()
+        with pytest.raises(StateError):
+            model.predict(rng.standard_normal((5, 4, 4, 2)))
+        with pytest.raises(ShapeError):
+            model.eval_mode().predict(rng.standard_normal((4, 4, 2)))
 
     def test_residual_identity_with_zero_subnet(self, rng):
         # zeroing each block's final conv makes S = 0, so the block output == input bitwise
@@ -255,6 +273,26 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes()[:50])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("byte, bit", [(32, 0), (19, 7)])  # kernel_size low bit, filters high bit
+    def test_flipped_header_bit_is_a_format_error(self, tmp_path, byte, bit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(TINY, rng=0), path)
+        raw = bytearray(path.read_bytes())
+        raw[byte] ^= 1 << bit
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="CRC"):
+            load_checkpoint(path)
+
+    def test_invalid_header_under_a_valid_crc_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(TINY, rng=0), path)
+        raw = bytearray(path.read_bytes())
+        raw[32] = 2  # kernel_size must be odd
+        body = bytes(raw[:-4])
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="invalid header"):
             load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, tmp_path):

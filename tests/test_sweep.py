@@ -183,11 +183,7 @@ class TestComplexity:
         # widths 3,4,4,3: per position 3*1*4 + 4*1*4 + 4*1*3 = 40; times B*M = 2*4
         assert crld_multiplications(hyper, 4) == 2 * 4 * 40
 
-    def test_timings_are_positive(self):
-        rows = complexity_report(iid_config(), TINY_HYPER, time_samples=4)
-        assert all(r.seconds_per_estimate > 0 for r in rows)
-
     def test_format_renders_all_methods(self):
-        text = format_complexity(complexity_report(iid_config(), TINY_HYPER, time_samples=2))
+        text = format_complexity(complexity_report(iid_config(), TINY_HYPER))
         for token in ("ls", "mmse", "crld", "multiplications"):
             assert token in text

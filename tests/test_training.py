@@ -45,7 +45,6 @@ class TestTrainOptions:
     def test_defaults(self):
         opts = TrainOptions()
         assert opts.optimizer == "adam" and opts.batch_size == 128
-        assert not opts.strict_determinism
 
 
 class TestSplit:
