@@ -1,8 +1,8 @@
 """Command-line front end: dataset generation, training, evaluation, sweeps, linear
 analysis, and complexity accounting, each invocable on its own.
 
-Exit codes: 0 success, 2 configuration error, 3 missing/corrupt artifact, 4 numeric
-failure.
+Exit codes: 0 success, 2 configuration error (an unreadable config file too), 3 missing
+or corrupt artifact or any other file that cannot be read or written, 4 numeric failure.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from .errors import (
     NumericError,
 )
 from .estimators import MmseContext, column_correlation
-from .model import DenoiserHyper, build_model
+from .model import RECON_KINDS, DenoiserHyper, build_model
 from .sweep import (
     ExperimentPlan,
     checkpoint_name,
@@ -35,8 +35,6 @@ from .sweep import (
 )
 from .training import TrainOptions, evaluate, train
 
-RECON_KINDS = ("conv1x1", "dense")
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
@@ -44,25 +42,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_hyper(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--blocks", type=int, default=3, help="denoising blocks (default 3)")
+    d = DenoiserHyper  # its class attributes are the field defaults
+    for flag, default, what in (
+        ("--blocks", d.blocks, "denoising blocks"),
+        ("--layers-per-block", d.layers_per_block, "conv layers per block"),
+        ("--filters", d.filters, "feature maps"),
+        ("--kernel-size", d.kernel_size, "conv kernel size"),
+    ):
+        parser.add_argument(flag, type=int, default=default, help=f"{what} (default %(default)s)")
     parser.add_argument(
-        "--layers-per-block", type=int, default=8, help="conv layers per block (default 8)"
-    )
-    parser.add_argument("--filters", type=int, default=64, help="feature maps (default 64)")
-    parser.add_argument(
-        "--kernel-size", type=int, default=3, help="conv kernel size (default 3)"
-    )
-    parser.add_argument(
-        "--recon", choices=RECON_KINDS, default="conv1x1",
-        help="reconstruction layer kind (default conv1x1)",
+        "--recon", choices=RECON_KINDS, default=d.recon,
+        help="reconstruction layer kind (default %(default)s)",
     )
 
 
 def _load_run(args) -> tuple:
     """Config triple with CLI overrides applied."""
     if args.config is not None:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
         cfg, plan, opts = parse_config(args.config)
     else:
         cfg, plan, opts = SystemConfig(), ExperimentPlan(), TrainOptions()
@@ -70,8 +66,6 @@ def _load_run(args) -> tuple:
         cfg = cfg.with_(seed=args.seed)
         opts = replace(opts, seed=args.seed)
     overrides = {k: getattr(args, k) for k in ("trials", "out") if getattr(args, k, None) is not None}
-    if getattr(args, "strict", False):
-        overrides["strict"] = True
     plan = replace(plan, **overrides)
     return cfg, plan, opts
 
@@ -149,8 +143,8 @@ def cmd_sweep(args) -> int:
         train_k=args.train_k,
         workers=args.workers,
     )
-    report.to_csv(plan.out, strict=plan.strict)
-    print(f"wrote {plan.out}: {len(report.rows)} rows" + (" (strict)" if plan.strict else ""))
+    report.to_csv(plan.out)
+    print(f"wrote {plan.out}: {len(report.rows)} rows")
     return 0
 
 
@@ -228,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", default="checkpoints", metavar="PATH")
     p.add_argument("--train", action="store_true", help="train missing checkpoints")
     p.add_argument("--train-k", type=int, default=50_000, help="examples when training")
-    p.add_argument("--strict", action="store_true", help="zero report wall times (byte-stable CSV)")
     p.add_argument("--workers", type=int, default=1, help="thread workers across points")
     p.set_defaults(handler=cmd_sweep)
 
@@ -253,7 +246,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ArtifactError, FileNotFoundError) as exc:
+    except (FormatError, ArtifactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -13,15 +13,6 @@ from .sweep import ExperimentPlan
 from .training import TrainOptions
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_list(text: str) -> tuple:
     items = tuple(part.strip() for part in text.split(",") if part.strip())
     if not items:
@@ -33,7 +24,7 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(v) for v in _parse_list(text))
 
 
-# key -> (section, field, caster)
+# key -> (section, field, caster); "corr" is the CorrelationSpec shared by both links
 _KEYS = {
     # operating point
     "m": ("system", "m", int),
@@ -42,8 +33,8 @@ _KEYS = {
     "snr_db": ("system", "snr_db", float),
     "zeta_db": ("system", "zeta_db", float),
     "f": ("system", "f", float),
-    "corr_model": ("system", "corr_model", str),
-    "rho": ("system", "rho", float),
+    "corr_model": ("corr", "model", str),
+    "rho": ("corr", "rho", float),
     "na": ("system", "na", int),
     "nb": ("system", "nb", int),
     "seed": ("system", "seed", int),
@@ -54,7 +45,6 @@ _KEYS = {
     "links": ("plan", "links", _parse_list),
     "trials": ("plan", "trials", int),
     "out": ("plan", "out", str),
-    "strict": ("plan", "strict", _parse_bool),
     # training
     "batch_size": ("train", "batch_size", int),
     "max_epochs": ("train", "max_epochs", int),
@@ -69,7 +59,7 @@ _KEYS = {
 
 def parse_config_text(text: str, origin: str = "<config>") -> tuple:
     """Parse config text into (SystemConfig, ExperimentPlan, TrainOptions)."""
-    sections = {"system": {}, "plan": {}, "train": {}}
+    sections = {"system": {}, "corr": {}, "plan": {}, "train": {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -90,11 +80,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> tuple:
             ) from exc
 
     system = sections["system"]
-    corr_model = system.pop("corr_model", "exponential")
-    rho = system.pop("rho", 0.9)
+    corr = {"model": "exponential", "rho": 0.9, **sections["corr"]}
     m = system.get("m", 64)
     try:
-        spec = CorrelationSpec(model=corr_model, rho=rho, dim=m)
+        spec = CorrelationSpec(dim=m, **corr)
         cfg = SystemConfig(corr_h=spec, corr_g=spec, **system)
         plan = ExperimentPlan(**sections["plan"])
         opts = TrainOptions(**sections["train"])
@@ -104,14 +93,19 @@ def parse_config_text(text: str, origin: str = "<config>") -> tuple:
 
 
 def parse_config(path: str) -> tuple:
-    """Read and parse a config file; see parse_config_text."""
-    with open(path, "r") as fh:
-        return parse_config_text(fh.read(), origin=path)
+    """Read and parse a config file; see parse_config_text.
+
+    A file that cannot be read (missing, a directory, no permission) is a ConfigError.
+    """
+    try:
+        with open(path, "r") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    return parse_config_text(text, origin=path)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         if math.isinf(value):
             return "-inf" if value < 0 else "inf"
@@ -129,32 +123,8 @@ def dump_config(cfg: SystemConfig, plan: ExperimentPlan, opts: TrainOptions) -> 
     """
     if (cfg.corr_h.model, cfg.corr_h.rho) != (cfg.corr_g.model, cfg.corr_g.rho):
         raise ConfigError("config files cannot express differing h/g correlation specs")
-    pairs = [
-        ("m", cfg.m),
-        ("ma", cfg.ma),
-        ("mb", cfg.mb),
-        ("snr_db", cfg.snr_db),
-        ("zeta_db", cfg.zeta_db),
-        ("f", cfg.f),
-        ("corr_model", cfg.corr_h.model),
-        ("rho", cfg.corr_h.rho),
-        ("na", cfg.na),
-        ("nb", cfg.nb),
-        ("seed", cfg.seed),
-        ("axis", plan.axis),
-        ("values", plan.values),
-        ("methods", plan.methods),
-        ("links", plan.links),
-        ("trials", plan.trials),
-        ("out", plan.out),
-        ("strict", plan.strict),
-        ("batch_size", opts.batch_size),
-        ("max_epochs", opts.max_epochs),
-        ("patience", opts.patience),
-        ("val_fraction", opts.val_fraction),
-        ("optimizer", opts.optimizer),
-        ("learning_rate", opts.learning_rate),
-        ("momentum", opts.momentum),
-        ("train_seed", opts.seed),
-    ]
-    return "\n".join(f"{k}={_fmt(v)}" for k, v in pairs) + "\n"
+    sources = {"system": cfg, "corr": cfg.corr_h, "plan": plan, "train": opts}
+    return "".join(
+        f"{key}={_fmt(getattr(sources[section], fieldname))}\n"
+        for key, (section, fieldname, _) in _KEYS.items()
+    )

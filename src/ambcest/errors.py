@@ -41,4 +41,4 @@ class MetricError(AmbcestError, ValueError):
 
 
 class ArtifactError(AmbcestError, FileNotFoundError):
-    """A required artifact (checkpoint, dataset) is missing; names the expected path."""
+    """A required artifact (checkpoint, dataset) is missing or unfit; names its path."""

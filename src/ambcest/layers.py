@@ -1,8 +1,9 @@
 """Dense-tensor NN layers with exact reverse-mode gradients.
 
-All tensors are channels-last numpy float64 arrays: a batch is (N, H, W, C) and a single
-example (H, W, C) is promoted to a batch of one.  Each layer caches what its backward pass
-needs on forward; backward consumes the cache of the most recent forward.
+All tensors are channels-last numpy float64 arrays, and Conv2D and BatchNorm2D take only a
+batch (N, H, W, C); a single example is promoted once, by ResidualDenoiser.  Each layer
+caches what its backward pass needs on forward; backward consumes the cache of the most
+recent forward.
 """
 
 import numpy as np
@@ -17,13 +18,11 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(f"expected (N, H, W, C) or (H, W, C), got shape {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"expected a batch (N, H, W, C), got shape {x.shape}")
+    return x
 
 
 class Conv2D:
@@ -52,7 +51,6 @@ class Conv2D:
         self.grad_b = np.zeros_like(self.b)
         self._cols = None
         self._in_shape = None
-        self._single = False
 
     def _im2col(self, x: np.ndarray) -> np.ndarray:
         k = self.kernel_size
@@ -66,7 +64,7 @@ class Conv2D:
         return np.ascontiguousarray(cols)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x, single = _as_batch(x)
+        x = _as_batch(x)
         if x.shape[3] != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[3]}")
         cols = self._im2col(x)
@@ -74,16 +72,12 @@ class Conv2D:
         out = cols @ wmat.T + self.b
         self._cols = cols
         self._in_shape = x.shape
-        self._single = single
-        out = out.reshape(x.shape[0], x.shape[1], x.shape[2], self.out_channels)
-        return out[0] if single else out
+        return out.reshape(x.shape[0], x.shape[1], x.shape[2], self.out_channels)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cols is None:
             raise ShapeError("backward called before forward")
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        if self._single and grad_out.ndim == 3:
-            grad_out = grad_out[None]
         n, h, w_dim, c_in = self._in_shape
         if grad_out.shape != (n, h, w_dim, self.out_channels):
             raise ShapeError(
@@ -101,8 +95,7 @@ class Conv2D:
         for dy in range(k):
             for dx in range(k):
                 grad_pad[:, dy : dy + h, dx : dx + w_dim, :] += cols_grad[:, :, :, dy, dx, :]
-        grad_in = grad_pad[:, pad : pad + h, pad : pad + w_dim, :]
-        return grad_in[0] if self._single else grad_in
+        return grad_pad[:, pad : pad + h, pad : pad + w_dim, :]
 
     def named_parameters(self, prefix: str) -> dict:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -180,12 +173,12 @@ class BatchNorm2D:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x, single = _as_batch(x)
+        x = _as_batch(x)
         if x.shape[3] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[3]}")
         if self.bypass:
-            self._cache = ("bypass", single)
-            return x[0] if single else x
+            self._cache = ("bypass",)
+            return x
         if self.mode == self.TRAIN:
             m = x.shape[0] * x.shape[1] * x.shape[2]
             if m < 2:
@@ -199,9 +192,8 @@ class BatchNorm2D:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv_std
-        self._cache = (self.mode, single, xhat, inv_std, x.shape)
-        out = self.gamma * xhat + self.beta
-        return out[0] if single else out
+        self._cache = (self.mode, xhat, inv_std, x.shape)
+        return self.gamma * xhat + self.beta
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -211,9 +203,7 @@ class BatchNorm2D:
             self.grad_gamma = np.zeros_like(self.gamma)
             self.grad_beta = np.zeros_like(self.beta)
             return grad_out
-        mode, single, xhat, inv_std, shape = self._cache
-        if single and grad_out.ndim == 3:
-            grad_out = grad_out[None]
+        mode, xhat, inv_std, shape = self._cache
         if grad_out.shape != shape:
             raise ShapeError(f"grad_out shape {grad_out.shape} does not match forward output {shape}")
         self.grad_gamma = np.sum(grad_out * xhat, axis=(0, 1, 2))
@@ -229,7 +219,7 @@ class BatchNorm2D:
             ) * inv_std
         else:
             grad_in = dxhat * inv_std
-        return grad_in[0] if single else grad_in
+        return grad_in
 
     def named_parameters(self, prefix: str) -> dict:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}

@@ -7,7 +7,6 @@ gaps.  Rows are emitted in plan order with a stable CSV schema.
 """
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -30,7 +29,7 @@ from .training import TrainOptions, train
 METHODS = ("ls", "mmse", "crld")
 AXES = ("snr", "pilots")
 
-CSV_HEADER = "link,method,snr_db,p,nmse,ci_half_width,trials,wall_time_s"
+CSV_HEADER = "link,method,snr_db,p,nmse,ci_half_width,trials"
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class ExperimentPlan:
     links: tuple = ("direct",)
     trials: int = 10_000
     out: str = "nmse_report.csv"
-    strict: bool = False       # zero the report's wall times, so the CSV is byte-stable
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -75,7 +73,6 @@ class ReportRow:
     nmse: float
     ci_half_width: float
     trials: int
-    wall_time_s: float
 
     def __post_init__(self):
         if self.nmse < 0 or (self.ci_half_width == self.ci_half_width and self.ci_half_width < 0):
@@ -86,14 +83,13 @@ class ReportRow:
 class NmseReport:
     rows: list
 
-    def to_csv(self, path: str, strict: bool = False) -> None:
-        """Write the stable schema; strict mode zeroes wall times for byte-stable output."""
+    def to_csv(self, path: str) -> None:
+        """Write the stable schema; equal rows give byte-identical files."""
         lines = [CSV_HEADER]
         for r in self.rows:
-            wt = 0.0 if strict else r.wall_time_s
             lines.append(
                 f"{r.link},{r.method},{r.snr_db!r},{r.p},{r.nmse!r},"
-                f"{r.ci_half_width!r},{r.trials},{wt!r}"
+                f"{r.ci_half_width!r},{r.trials}"
             )
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -123,18 +119,19 @@ def _crld_model(
 ) -> ResidualDenoiser:
     p = pilots_for_link(cfg, link)
     path = os.path.join(checkpoint_dir, checkpoint_name(link, cfg.snr_db, p))
+    hyper = replace(hyper or DenoiserHyper(), ma=cfg.ma, mb=cfg.mb, pilots=p)
     if os.path.exists(path):
         model = load_checkpoint(path)
+        if model.hyper != hyper:
+            raise ArtifactError(
+                f"{path} holds a net of shape {model.hyper}, not the requested {hyper}"
+            )
         model.eval_mode()
         return model
     if not train_missing:
         raise ArtifactError(
             f"no trained model at {path}; train one first or pass --train"
         )
-    if hyper is None:
-        hyper = DenoiserHyper(ma=cfg.ma, mb=cfg.mb, pilots=p)
-    else:
-        hyper = replace(hyper, ma=cfg.ma, mb=cfg.mb, pilots=p)
     if train_opts is None:
         train_opts = TrainOptions()
     ds = generate_dataset(cfg, link, train_k, seed=seed)
@@ -163,14 +160,12 @@ def _score_point(
     y, x = simulate_batch(cfg, link, trials, rng)
     x_vec = x.reshape(trials, -1)
     if "crld" in methods:
-        # loaded or trained here, so that setup is never billed to the estimate
         train_seed = int(seed.generate_state(2, dtype=np.uint32)[1])
         model = _crld_model(
             cfg, link, checkpoint_dir, train_missing, hyper, train_opts, train_k, train_seed,
         )
     rows = []
     for method in methods:
-        t0 = time.perf_counter()
         if method == "ls":
             est = ls_estimate(y)
         elif method == "mmse":
@@ -178,7 +173,6 @@ def _score_point(
             est = mmse_estimate_vector(ls_estimate(y), R, cfg.sigma_u_sq, p)
         else:
             est = model.predict(y)
-        wall = time.perf_counter() - t0
         score = nmse(x_vec, est.reshape(trials, -1))
         rows.append(
             ReportRow(
@@ -189,7 +183,6 @@ def _score_point(
                 nmse=score.value,
                 ci_half_width=score.ci_half_width,
                 trials=trials,
-                wall_time_s=wall,
             )
         )
     return rows

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambcest import (
     MetricError,
@@ -232,3 +234,20 @@ class TestNmse:
 
     def test_to_db(self):
         assert NmseEstimate(value=0.1, ci_half_width=0.0, trials=10).to_db() == pytest.approx(-10.0)
+
+
+class TestNmseProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), scale=st.floats(1e-3, 1e3))
+    def test_value_is_scale_invariant(self, seed, n, scale):
+        truth, est = np.random.default_rng(seed).standard_normal((2, n, 8))
+        want = nmse(truth, est).value
+        assert nmse(scale * truth, scale * est).value == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_value_is_trial_order_invariant(self, seed, data):
+        truth, est = np.random.default_rng(seed).standard_normal((2, 40, 8))
+        order = np.array(data.draw(st.permutations(range(40))))
+        want = nmse(truth, est).value
+        assert nmse(truth[order], est[order]).value == pytest.approx(want, rel=1e-12)

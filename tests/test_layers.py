@@ -49,12 +49,10 @@ class TestConv2D:
         x = rng.standard_normal((2, 5, 5, 1))
         assert np.allclose(conv.forward(x), x, atol=1e-15)
 
-    def test_single_sample_round_trip(self, rng):
-        conv = Conv2D(2, 2, rng=rng)
-        x = rng.standard_normal((4, 4, 2))
-        out = conv.forward(x)
-        assert out.shape == (4, 4, 2)
-        assert conv.backward(np.ones_like(out)).shape == x.shape
+    def test_single_example_rejected(self, rng):
+        # only ResidualDenoiser promotes an (H, W, C) example to a batch
+        with pytest.raises(ShapeError):
+            Conv2D(2, 2, rng=rng).forward(rng.standard_normal((4, 4, 2)))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ParameterError):
@@ -164,6 +162,10 @@ class TestBatchNorm2D:
     def test_single_element_train_batch_rejected(self):
         with pytest.raises(ParameterError):
             BatchNorm2D(1).forward(np.zeros((1, 1, 1, 1)))
+
+    def test_single_example_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            BatchNorm2D(2).forward(rng.standard_normal((4, 4, 2)))
 
     def test_momentum_validated(self):
         with pytest.raises(ParameterError):

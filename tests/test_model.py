@@ -86,6 +86,15 @@ class TestForward:
         assert model.forward(rng.standard_normal((5, 4, 4, 2))).shape == (5, 4, 4)
         assert model.forward(rng.standard_normal((4, 4, 2))).shape == (4, 4)
 
+    def test_single_example_is_a_batch_of_one(self, rng):
+        # the model is the one place that promotes (Ma, Mb, P); the layers take batches only
+        model = build_model(TINY, rng=0).eval_mode()
+        y = rng.standard_normal((3, 4, 4, 2))
+        assert np.array_equal(model.forward(y[0]), model.forward(y[:1])[0])
+        g = rng.standard_normal((4, 4))
+        single = model.backward(g)
+        assert np.array_equal(single, model.backward(g[None])[0])
+
     def test_geometry_mismatch_rejected(self, rng):
         model = build_model(TINY, rng=0).eval_mode()
         with pytest.raises(ShapeError):
