@@ -30,9 +30,11 @@ def write_artifact(path: str | Path, chunks: list) -> None:
                 fh.write(chunk)
             fh.write(_CRC.pack(crc))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the target, not the temp file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

@@ -39,6 +39,9 @@ class CorrelationSpec:
             raise ParameterError(f"dim must be a positive integer, got {self.dim}")
 
 
+DEFAULT_CORR = CorrelationSpec("exponential", 0.9)  # both links when a SystemConfig names none; dim follows m
+
+
 def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
     """Return the dim x dim correlation matrix for `spec`.
 
@@ -93,9 +96,9 @@ class SystemConfig:
 
     def __post_init__(self):
         if self.corr_h is None:
-            object.__setattr__(self, "corr_h", CorrelationSpec("exponential", 0.9, self.m))
+            object.__setattr__(self, "corr_h", replace(DEFAULT_CORR, dim=self.m))
         if self.corr_g is None:
-            object.__setattr__(self, "corr_g", CorrelationSpec("exponential", 0.9, self.m))
+            object.__setattr__(self, "corr_g", replace(DEFAULT_CORR, dim=self.m))
         if self.m < 1 or self.ma < 1 or self.mb < 1:
             raise ParameterError("antenna counts must be positive")
         if self.ma * self.mb != self.m:

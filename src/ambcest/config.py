@@ -6,8 +6,9 @@ all defaults.  `dump_config` emits a file that parses back to identical structur
 """
 
 import math
+from dataclasses import replace
 
-from .channel import CorrelationSpec, SystemConfig
+from .channel import DEFAULT_CORR, SystemConfig
 from .errors import ConfigError, ParameterError, ShapeError
 from .sweep import ExperimentPlan
 from .training import TrainOptions
@@ -80,10 +81,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> tuple:
             ) from exc
 
     system = sections["system"]
-    corr = {"model": "exponential", "rho": 0.9, **sections["corr"]}
-    m = system.get("m", 64)
     try:
-        spec = CorrelationSpec(dim=m, **corr)
+        spec = replace(DEFAULT_CORR, dim=system.get("m", SystemConfig.m), **sections["corr"])
         cfg = SystemConfig(corr_h=spec, corr_g=spec, **system)
         plan = ExperimentPlan(**sections["plan"])
         opts = TrainOptions(**sections["train"])

@@ -7,7 +7,6 @@ recent forward.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ParameterError, ShapeError
 
@@ -29,7 +28,8 @@ class Conv2D:
     """Same-padded stride-1 convolution, filters (K, kh, kw, C_in), zero padding.
 
     out[y, x, k] = b[k] + sum_{dy,dx,c} w[k, dy, dx, c] * padded_in[y+dy, x+dx, c]
-    Implemented as im2col + one BLAS matmul.
+    Implemented as a shifted GEMM: one (N*H*W, C_in) @ (C_in, K) product per tap (dy, dx), summed.
+    Backward reuses the tap loop for both gradients, so forward caches only its input.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3, *, rng=None):
@@ -49,52 +49,49 @@ class Conv2D:
         self.b = np.zeros(out_channels)
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
-        self._cols = None
-        self._in_shape = None
+        self._x = None
 
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
+    def _taps(self, x: np.ndarray):
+        """Yield (dy, dx, window) with window the (N*H*W, C_in) rows of padded x at (dy, dx)."""
         k = self.kernel_size
         pad = k // 2
         n, h, w_dim, c = x.shape
         if pad:
             x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        # (N, H, W, C, kh, kw) -> (N*H*W, kh*kw*C)
-        windows = sliding_window_view(x, (k, k), axis=(1, 2))
-        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w_dim, k * k * c)
-        return np.ascontiguousarray(cols)
+        for dy in range(k):
+            for dx in range(k):
+                yield dy, dx, x[:, dy : dy + h, dx : dx + w_dim, :].reshape(n * h * w_dim, c)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_batch(x)
         if x.shape[3] != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[3]}")
-        cols = self._im2col(x)
-        wmat = self.w.reshape(self.out_channels, -1)
-        out = cols @ wmat.T + self.b
-        self._cols = cols
-        self._in_shape = x.shape
-        return out.reshape(x.shape[0], x.shape[1], x.shape[2], self.out_channels)
+        n, h, w_dim, _ = x.shape
+        out = np.full((n * h * w_dim, self.out_channels), self.b)
+        for dy, dx, window in self._taps(x):
+            out += window @ self.w[:, dy, dx, :].T
+        self._x = x
+        return out.reshape(n, h, w_dim, self.out_channels)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None:
+        if self._x is None:
             raise ShapeError("backward called before forward")
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        n, h, w_dim, c_in = self._in_shape
+        n, h, w_dim, c_in = self._x.shape
         if grad_out.shape != (n, h, w_dim, self.out_channels):
             raise ShapeError(
                 f"grad_out shape {grad_out.shape} does not match forward output "
                 f"{(n, h, w_dim, self.out_channels)}"
             )
-        k = self.kernel_size
-        pad = k // 2
+        pad = self.kernel_size // 2
         gmat = grad_out.reshape(n * h * w_dim, self.out_channels)
         self.grad_b = gmat.sum(axis=0)
-        self.grad_w = (gmat.T @ self._cols).reshape(self.w.shape)
-        # scatter columns back: col2im as k*k shifted adds
-        cols_grad = (gmat @ self.w.reshape(self.out_channels, -1)).reshape(n, h, w_dim, k, k, c_in)
+        self.grad_w = np.empty_like(self.w)
         grad_pad = np.zeros((n, h + 2 * pad, w_dim + 2 * pad, c_in))
-        for dy in range(k):
-            for dx in range(k):
-                grad_pad[:, dy : dy + h, dx : dx + w_dim, :] += cols_grad[:, :, :, dy, dx, :]
+        for dy, dx, window in self._taps(self._x):
+            self.grad_w[:, dy, dx, :] = gmat.T @ window
+            tap_grad = gmat @ self.w[:, dy, dx, :]
+            grad_pad[:, dy : dy + h, dx : dx + w_dim, :] += tap_grad.reshape(n, h, w_dim, c_in)
         return grad_pad[:, pad : pad + h, pad : pad + w_dim, :]
 
     def named_parameters(self, prefix: str) -> dict:

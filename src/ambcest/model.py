@@ -18,7 +18,7 @@ RECON_CONV1X1 = "conv1x1"
 RECON_DENSE = "dense"
 RECON_KINDS = (RECON_CONV1X1, RECON_DENSE)
 
-# examples per forward call in predict(): bounds the activations and im2col buffers
+# examples per chunk in predict(): bounds the activations and the per-tap conv buffers
 PREDICT_CHUNK = 256
 
 
@@ -164,26 +164,42 @@ class ResidualDenoiser:
         y, single = self._check_input(y)
         for block in self.blocks:
             y, _ = block.forward(y)
-        x_hat = self._recon_forward(y)
+        x_hat = self._recon_forward(y, self.recon)
         return x_hat[0] if single else x_hat
 
     def predict(self, y: np.ndarray) -> np.ndarray:
-        """Eval-mode forward over a batch (n, Ma, Mb, P) -> (n, Ma, Mb), PREDICT_CHUNK at a time."""
+        """Eval-mode output for a batch (n, Ma, Mb, P) -> (n, Ma, Mb), PREDICT_CHUNK at a time.
+
+        Runs a copy of the net with each BatchNorm folded into its conv (see _fold) and ReLU
+        in place: no backward caches, and the model's own layers (forward/backward) untouched.
+        """
         if self.mode != "eval":
             raise StateError("prediction requires eval mode (call eval_mode() first)")
-        y = np.asarray(y)
-        if y.ndim != 4:
-            raise ShapeError(f"predict takes a batch (n, Ma, Mb, P), got shape {y.shape}")
+        if np.ndim(y) != 4:
+            raise ShapeError(f"predict takes a batch (n, Ma, Mb, P), got shape {np.shape(y)}")
+        y, _ = self._check_input(y)
+        blocks = [[(_fold(conv, bn), relu) for conv, bn, relu in zip(b.convs, b.bns + [None], b.relus + [None])]
+                  for b in self.blocks]
+        recon = copy.copy(self.recon)
         out = np.empty((y.shape[0], self.hyper.ma, self.hyper.mb))
         for lo in range(0, y.shape[0], PREDICT_CHUNK):
-            out[lo : lo + PREDICT_CHUNK] = self.forward(y[lo : lo + PREDICT_CHUNK])
+            chunk = y[lo : lo + PREDICT_CHUNK]
+            for layers in blocks:
+                s = chunk
+                for conv, relu in layers:
+                    s = conv.forward(s)
+                    conv._x = None  # a folded copy never runs backward
+                    if relu is not None and not relu.identity:
+                        np.maximum(s, 0, out=s)
+                chunk = chunk - s
+            out[lo : lo + PREDICT_CHUNK] = self._recon_forward(chunk, recon)
         return out
 
-    def _recon_forward(self, y: np.ndarray) -> np.ndarray:
+    def _recon_forward(self, y: np.ndarray, recon) -> np.ndarray:
         hp = self.hyper
         if hp.recon == RECON_CONV1X1:
-            return self.recon.forward(y)[..., 0]
-        flat = self.recon.forward(y.reshape(y.shape[0], -1))
+            return recon.forward(y)[..., 0]
+        flat = recon.forward(y.reshape(y.shape[0], -1))
         return flat.reshape(y.shape[0], hp.ma, hp.mb)
 
     def backward(self, grad_xhat: np.ndarray) -> np.ndarray:
@@ -256,6 +272,17 @@ class ResidualDenoiser:
 
     def clone(self) -> "ResidualDenoiser":
         return copy.deepcopy(self)
+
+
+def _fold(conv: Conv2D, bn: BatchNorm2D | None) -> Conv2D:
+    """A copy of `conv` computing eval-mode bn(conv(x)): w' = w*s, b' = (b - mean)*s + beta,
+    s = gamma / sqrt(var + eps).  A bypassed or absent bn leaves conv as is."""
+    folded = copy.copy(conv)
+    if bn is not None and not bn.bypass:
+        scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+        folded.w = conv.w * scale[:, None, None, None]
+        folded.b = (conv.b - bn.running_mean) * scale + bn.beta
+    return folded
 
 
 def build_model(hyper: DenoiserHyper, rng: np.random.Generator | int | None = None) -> ResidualDenoiser:

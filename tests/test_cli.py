@@ -144,7 +144,9 @@ class TestExitCodes:
     ])
     def test_directory_as_artifact_path_is_3(self, tmp_path, config, capsys, command):
         assert main(command + [str(tmp_path), "--config", config]) == 3
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and str(tmp_path) in err and ".tmp" not in err
+        assert not list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp"))  # the temp file is gone
 
     def test_sweep_over_a_checkpoint_of_another_shape_is_3(self, tmp_path, config, capsys):
         conf = tmp_path / "sweep.conf"

@@ -1,5 +1,7 @@
 """Config-file tests: parsing, diagnostics with line numbers, dump round-trip."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,13 @@ class TestParsing:
         assert plan.axis == "pilots" and plan.values == (2, 4, 8)
         assert plan.methods == ("ls", "mmse") and plan.trials == 500
         assert opts.batch_size == 64 and opts.learning_rate == 0.003
+
+    def test_partial_files_keep_the_dataclass_defaults(self):
+        cfg, _, _ = parse_config_text("m=16\nma=4\nmb=4\n")
+        assert cfg == SystemConfig(m=16, ma=4, mb=4)
+        assert cfg.corr_h.dim == cfg.corr_g.dim == 16
+        cfg, _, _ = parse_config_text("rho=0.5\n")
+        assert cfg.corr_h == cfg.corr_g == replace(SystemConfig().corr_h, rho=0.5)
 
     def test_comments_and_blank_lines_skipped(self):
         cfg, _, _ = parse_config_text("# just a comment\n\nm=16\nma=4\nmb=4\n")

@@ -1,6 +1,7 @@
 """Network tests: parameter counts, residual identity, gradients, checkpoint I/O."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -18,6 +19,7 @@ from ambcest import (
     mse_loss,
     save_checkpoint,
 )
+from ambcest.layers import Conv2D
 from ambcest.model import PREDICT_CHUNK
 from conftest import set_model_to_ls
 
@@ -105,10 +107,54 @@ class TestForward:
         y = rng.standard_normal((PREDICT_CHUNK * 2 + 3, 4, 4, 2))
         want = model.forward(y)
         sizes = []
-        forward = model.forward
-        monkeypatch.setattr(model, "forward", lambda chunk: sizes.append(len(chunk)) or forward(chunk))
+        forward = Conv2D.forward
+        monkeypatch.setattr(Conv2D, "forward", lambda conv, x: sizes.append(len(x)) or forward(conv, x))
         np.testing.assert_allclose(model.predict(y), want, rtol=1e-12, atol=1e-12)
-        assert sizes == [PREDICT_CHUNK, PREDICT_CHUNK, 3]
+        convs = TINY.blocks * TINY.layers_per_block + 1  # the blocks' convs, then the 1x1 reconstruction
+        assert sizes == [n for n in (PREDICT_CHUNK, PREDICT_CHUNK, 3) for _ in range(convs)]
+
+    @pytest.mark.parametrize("analysis", [False, True])
+    @pytest.mark.parametrize("recon", ["conv1x1", "dense"])
+    def test_folded_predict_matches_eval_forward(self, recon, analysis, rng):
+        hp = DenoiserHyper(blocks=2, layers_per_block=3, filters=4, ma=4, mb=4, pilots=2, recon=recon)
+        model = build_model(hp, rng=5).train_mode()
+        for block in model.blocks:
+            for bn in block.bns:
+                bn.gamma[...] = rng.uniform(0.5, 2.0, bn.channels)
+                bn.beta[...] = rng.standard_normal(bn.channels)
+        for _ in range(3):  # running stats away from (0, 1)
+            model.forward(2.0 * rng.standard_normal((8, 4, 4, 2)) + 1.0)
+        model.eval_mode()
+        model.analysis = analysis
+        y = rng.standard_normal((37, 4, 4, 2))
+        np.testing.assert_allclose(model.predict(y), model.forward(y), rtol=1e-12, atol=1e-12)
+
+    def test_predict_leaves_the_backward_caches_alone(self, rng):
+        model = build_model(TINY, rng=2).train_mode()
+        model.forward(rng.standard_normal((8, 4, 4, 2)))
+        model.eval_mode()
+        y = rng.standard_normal((4, 4, 4, 2))
+        g = rng.standard_normal((4, 4, 4))
+        model.forward(y)
+        want_in = model.backward(g)
+        want = {k: v.copy() for k, v in model.named_gradients().items()}
+        model.forward(y)
+        model.predict(rng.standard_normal((9, 4, 4, 2)))
+        assert np.array_equal(model.backward(g), want_in)
+        got = model.named_gradients()
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    def test_predict_memory_is_bounded(self):
+        # predict keeps no caches (about 50 MiB); forward with its caches peaks near 390 MiB here
+        model = build_model(DenoiserHyper(), rng=0).eval_mode()
+        y = np.random.default_rng(0).standard_normal((PREDICT_CHUNK, 8, 8, 2))
+        tracemalloc.start()
+        try:
+            model.predict(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
 
     def test_predict_requires_eval_mode_and_a_batch(self, rng):
         model = build_model(TINY, rng=0).train_mode()
