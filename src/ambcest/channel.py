@@ -134,11 +134,11 @@ def derive_noise_and_alpha(cfg: SystemConfig) -> tuple[float, float]:
 
     sigma_u^2 = trace(R_h) / (M * 10^(snr_db/10))
     alpha     = sqrt(10^(zeta_db/10) * trace(R_h) / (f^2 * trace(R_g)))
+
+    Both correlation models have a unit diagonal, so each trace is the spec's dim.
     """
-    tr_h = float(np.trace(build_correlation_matrix(cfg.corr_h)))
-    tr_g = float(np.trace(build_correlation_matrix(cfg.corr_g)))
-    if tr_h <= 0 or tr_g <= 0:
-        raise ParameterError("correlation traces must be positive")
+    tr_h = float(cfg.corr_h.dim)
+    tr_g = float(cfg.corr_g.dim)
     # snr_db = +inf is a legal noiseless operating point; snr_db = -inf is not
     if cfg.snr_db == float("-inf"):
         raise ParameterError("snr_db = -inf gives an infinite noise power")

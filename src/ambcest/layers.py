@@ -1,9 +1,15 @@
 """Dense-tensor NN layers with exact reverse-mode gradients.
 
-All tensors are channels-last numpy float64 arrays, and Conv2D and BatchNorm2D take only a
-batch (N, H, W, C); a single example is promoted once, by ResidualDenoiser.  Each layer
-caches what its backward pass needs on forward; backward consumes the cache of the most
-recent forward.
+All tensors are channels-last numpy arrays, and Conv2D and BatchNorm2D take only a batch
+(N, H, W, C); a single example is promoted once, by ResidualDenoiser.  Each layer caches
+what its backward pass needs on forward; backward consumes the cache of the most recent
+forward.
+
+The compute dtype follows the input: a float32 input is computed in float32, anything else
+in float64.  Backward runs in the dtype of the forward it follows.  Parameters and batch
+norm running statistics are float64 master copies, cast to the compute dtype on each
+forward, and gradients are stored as float64, so optimizers and checkpoints see float64
+only.  A float64 input takes exactly the float64 path.
 """
 
 import numpy as np
@@ -17,8 +23,14 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
+def _as_compute(x: np.ndarray) -> np.ndarray:
+    """x as an array of its compute dtype: float32 stays float32, anything else is float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+
+
 def _as_batch(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_compute(x)
     if x.ndim != 4:
         raise ShapeError(f"expected a batch (N, H, W, C), got shape {x.shape}")
     return x
@@ -67,16 +79,17 @@ class Conv2D:
         if x.shape[3] != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[3]}")
         n, h, w_dim, _ = x.shape
-        out = np.full((n * h * w_dim, self.out_channels), self.b)
+        w = self.w.astype(x.dtype, copy=False)
+        out = np.full((n * h * w_dim, self.out_channels), self.b, dtype=x.dtype)
         for dy, dx, window in self._taps(x):
-            out += window @ self.w[:, dy, dx, :].T
+            out += window @ w[:, dy, dx, :].T
         self._x = x
         return out.reshape(n, h, w_dim, self.out_channels)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise ShapeError("backward called before forward")
-        grad_out = np.asarray(grad_out, dtype=np.float64)
+        grad_out = np.asarray(grad_out, dtype=self._x.dtype)
         n, h, w_dim, c_in = self._x.shape
         if grad_out.shape != (n, h, w_dim, self.out_channels):
             raise ShapeError(
@@ -85,12 +98,13 @@ class Conv2D:
             )
         pad = self.kernel_size // 2
         gmat = grad_out.reshape(n * h * w_dim, self.out_channels)
-        self.grad_b = gmat.sum(axis=0)
+        w = self.w.astype(gmat.dtype, copy=False)
+        self.grad_b = gmat.sum(axis=0, dtype=np.float64)
         self.grad_w = np.empty_like(self.w)
-        grad_pad = np.zeros((n, h + 2 * pad, w_dim + 2 * pad, c_in))
+        grad_pad = np.zeros((n, h + 2 * pad, w_dim + 2 * pad, c_in), dtype=gmat.dtype)
         for dy, dx, window in self._taps(self._x):
             self.grad_w[:, dy, dx, :] = gmat.T @ window
-            tap_grad = gmat @ self.w[:, dy, dx, :]
+            tap_grad = gmat @ w[:, dy, dx, :]
             grad_pad[:, dy : dy + h, dx : dx + w_dim, :] += tap_grad.reshape(n, h, w_dim, c_in)
         return grad_pad[:, pad : pad + h, pad : pad + w_dim, :]
 
@@ -116,19 +130,21 @@ class Dense:
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _as_compute(x)
         if x.ndim != 2 or x.shape[1] != self.w.shape[1]:
             raise ShapeError(f"expected (N, {self.w.shape[1]}), got {x.shape}")
         self._x = x
-        return x @ self.w.T + self.b
+        return x @ self.w.astype(x.dtype, copy=False).T + self.b.astype(x.dtype, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_out = np.asarray(grad_out, dtype=np.float64)
-        if self._x is None or grad_out.shape != (self._x.shape[0], self.w.shape[0]):
+        if self._x is None:
+            raise ShapeError("backward called before forward")
+        grad_out = np.asarray(grad_out, dtype=self._x.dtype)
+        if grad_out.shape != (self._x.shape[0], self.w.shape[0]):
             raise ShapeError("grad_out shape does not match forward output")
-        self.grad_w = grad_out.T @ self._x
-        self.grad_b = grad_out.sum(axis=0)
-        return grad_out @ self.w
+        self.grad_w = (grad_out.T @ self._x).astype(np.float64, copy=False)
+        self.grad_b = grad_out.sum(axis=0, dtype=np.float64)
+        return grad_out @ self.w.astype(grad_out.dtype, copy=False)
 
     def named_parameters(self, prefix: str) -> dict:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -174,7 +190,7 @@ class BatchNorm2D:
         if x.shape[3] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[3]}")
         if self.bypass:
-            self._cache = ("bypass",)
+            self._cache = ("bypass", x.dtype)
             return x
         if self.mode == self.TRAIN:
             m = x.shape[0] * x.shape[1] * x.shape[2]
@@ -187,25 +203,26 @@ class BatchNorm2D:
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+        dt = x.dtype
+        inv_std = (1.0 / np.sqrt(var + self.eps)).astype(dt, copy=False)
+        xhat = (x - mean.astype(dt, copy=False)) * inv_std
         self._cache = (self.mode, xhat, inv_std, x.shape)
-        return self.gamma * xhat + self.beta
+        return self.gamma.astype(dt, copy=False) * xhat + self.beta.astype(dt, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ShapeError("backward called before forward")
-        grad_out = np.asarray(grad_out, dtype=np.float64)
         if self._cache[0] == "bypass":
             self.grad_gamma = np.zeros_like(self.gamma)
             self.grad_beta = np.zeros_like(self.beta)
-            return grad_out
+            return np.asarray(grad_out, dtype=self._cache[1])
         mode, xhat, inv_std, shape = self._cache
+        grad_out = np.asarray(grad_out, dtype=xhat.dtype)
         if grad_out.shape != shape:
             raise ShapeError(f"grad_out shape {grad_out.shape} does not match forward output {shape}")
-        self.grad_gamma = np.sum(grad_out * xhat, axis=(0, 1, 2))
-        self.grad_beta = np.sum(grad_out, axis=(0, 1, 2))
-        dxhat = grad_out * self.gamma
+        self.grad_gamma = np.sum(grad_out * xhat, axis=(0, 1, 2), dtype=np.float64)
+        self.grad_beta = np.sum(grad_out, axis=(0, 1, 2), dtype=np.float64)
+        dxhat = grad_out * self.gamma.astype(xhat.dtype, copy=False)
         if mode == self.TRAIN:
             # standard BN input gradient through the batch statistics; the 1/m factors
             # are absorbed into the two means
@@ -234,9 +251,11 @@ class ReLU:
     def __init__(self):
         self.identity = False
         self._mask = None
+        self._dtype = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _as_compute(x)
+        self._dtype = x.dtype
         if self.identity:
             self._mask = None
             return x
@@ -244,7 +263,9 @@ class ReLU:
         return np.where(self._mask, x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_out = np.asarray(grad_out, dtype=np.float64)
+        if self._dtype is None:
+            raise ShapeError("backward called before forward")
+        grad_out = np.asarray(grad_out, dtype=self._dtype)
         if self.identity:
             return grad_out
         if self._mask is None:
@@ -257,14 +278,15 @@ class ReLU:
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum-of-squares loss over the whole batch: sum_k ||target_k - pred_k||_F^2.
 
-    Returns (loss, d loss / d pred).  The gradient is 2*(pred - target).
+    Returns (loss, d loss / d pred).  The gradient is 2*(pred - target), float32 when both
+    inputs are float32 and float64 otherwise; the loss is always summed in float64.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    pred = _as_compute(pred)
+    target = _as_compute(target)
     if pred.shape != target.shape:
         raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
     with np.errstate(over="ignore"):  # overflow is reported via the finite check below
-        loss = float(np.sum(diff * diff))
+        loss = float(np.sum(diff * diff, dtype=np.float64))
     _check_finite(np.asarray(loss), "mse loss")
     return loss, 2.0 * diff

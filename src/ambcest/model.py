@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, StateError
-from .layers import BatchNorm2D, Conv2D, Dense, ReLU
+from .layers import BatchNorm2D, Conv2D, Dense, ReLU, _as_compute
 
 RECON_CONV1X1 = "conv1x1"
 RECON_DENSE = "dense"
@@ -147,7 +147,7 @@ class ResidualDenoiser:
     def _check_input(self, y: np.ndarray) -> tuple[np.ndarray, bool]:
         if self.mode is None:
             raise StateError("model mode not set: call train_mode() or eval_mode() first")
-        y = np.asarray(y, dtype=np.float64)
+        y = _as_compute(y)
         single = y.ndim == 3
         if single:
             y = y[None]
@@ -160,7 +160,9 @@ class ResidualDenoiser:
         return y, single
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        """Run all blocks then the reconstruction layer; (.., Ma, Mb, P) -> (.., Ma, Mb)."""
+        """Run all blocks then the reconstruction layer; (.., Ma, Mb, P) -> (.., Ma, Mb).
+
+        Computes in float32 for a float32 input and in float64 otherwise (see layers)."""
         y, single = self._check_input(y)
         for block in self.blocks:
             y, _ = block.forward(y)
@@ -172,20 +174,26 @@ class ResidualDenoiser:
 
         Runs a copy of the net with each BatchNorm folded into its conv (see _fold) and ReLU
         in place: no backward caches, and the model's own layers (forward/backward) untouched.
+        The fold is done in float64 and the folded convs are cast to float32 once per call,
+        so each block's residual branch computes in float32.  The skip path Y - S and the
+        reconstruction layer stay in the input's precision, so a block whose residual is
+        zero passes a float64 input through exactly.  The result is float64 and agrees with
+        a float64 eval-mode forward to about 1e-6 of its largest entry.
         """
         if self.mode != "eval":
             raise StateError("prediction requires eval mode (call eval_mode() first)")
         if np.ndim(y) != 4:
             raise ShapeError(f"predict takes a batch (n, Ma, Mb, P), got shape {np.shape(y)}")
         y, _ = self._check_input(y)
-        blocks = [[(_fold(conv, bn), relu) for conv, bn, relu in zip(b.convs, b.bns + [None], b.relus + [None])]
+        blocks = [[(_float32(_fold(conv, bn)), relu)
+                   for conv, bn, relu in zip(b.convs, b.bns + [None], b.relus + [None])]
                   for b in self.blocks]
         recon = copy.copy(self.recon)
         out = np.empty((y.shape[0], self.hyper.ma, self.hyper.mb))
         for lo in range(0, y.shape[0], PREDICT_CHUNK):
             chunk = y[lo : lo + PREDICT_CHUNK]
             for layers in blocks:
-                s = chunk
+                s = chunk.astype(np.float32)
                 for conv, relu in layers:
                     s = conv.forward(s)
                     conv._x = None  # a folded copy never runs backward
@@ -203,8 +211,9 @@ class ResidualDenoiser:
         return flat.reshape(y.shape[0], hp.ma, hp.mb)
 
     def backward(self, grad_xhat: np.ndarray) -> np.ndarray:
-        """Reverse-mode pass; takes d loss / d X_hat, returns d loss / d input."""
-        grad_xhat = np.asarray(grad_xhat, dtype=np.float64)
+        """Reverse-mode pass; takes d loss / d X_hat, returns d loss / d input in the dtype
+        of the forward it follows."""
+        grad_xhat = _as_compute(grad_xhat)
         single = grad_xhat.ndim == 2
         if single:
             grad_xhat = grad_xhat[None]
@@ -283,6 +292,12 @@ def _fold(conv: Conv2D, bn: BatchNorm2D | None) -> Conv2D:
         folded.w = conv.w * scale[:, None, None, None]
         folded.b = (conv.b - bn.running_mean) * scale + bn.beta
     return folded
+
+
+def _float32(conv: Conv2D) -> Conv2D:
+    """`conv`, a copy nobody else holds, with its weights cast to float32."""
+    conv.w, conv.b = conv.w.astype(np.float32), conv.b.astype(np.float32)
+    return conv
 
 
 def build_model(hyper: DenoiserHyper, rng: np.random.Generator | int | None = None) -> ResidualDenoiser:

@@ -100,6 +100,10 @@ def train(
     Stops after `patience` epochs without a strict validation improvement or at
     max_epochs, whichever comes first.  Non-finite losses abort with a diagnostic
     naming the epoch, batch, and first offending parameter block.
+
+    The training batches are cast to float32 once per call, so forward and backward
+    compute in float32 while the parameters, their gradients and the optimizer state stay
+    float64.  Validation scores the float64 validation arrays with `predict`.
     """
     if len(ds) < 2:
         raise ParameterError("training needs at least 2 examples (one for validation)")
@@ -111,7 +115,7 @@ def train(
         )
     rng = np.random.default_rng(opts.seed)
     train_idx, val_idx = _split_indices(len(ds), opts.val_fraction, rng)
-    y_tr, x_tr = ds.y[train_idx], ds.x[train_idx]
+    y_tr, x_tr = ds.y[train_idx].astype(np.float32), ds.x[train_idx].astype(np.float32)
     y_va, x_va = ds.y[val_idx], ds.x[val_idx]
 
     optimizer = make_optimizer(
@@ -135,9 +139,11 @@ def train(
         for bi, lo in enumerate(range(0, len(order), opts.batch_size)):
             sel = order[lo : lo + opts.batch_size]
             try:
-                pred = model.forward(y_tr[sel])
-                loss, grad = mse_loss(pred, x_tr[sel])
-                model.backward(grad / len(sel))
+                # float32 overflows near 3e38; a diverging step ends in a finite check
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pred = model.forward(y_tr[sel])
+                    loss, grad = mse_loss(pred, x_tr[sel])
+                    model.backward(grad / len(sel))
                 optimizer.step(model.named_parameters(), model.named_gradients())
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {bi}: {exc}{_blame(model)}") from exc

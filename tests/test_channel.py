@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambcest import (
     CorrelationSpec,
@@ -112,6 +114,28 @@ class TestSystemConfig:
     def test_pilot_counts_positive(self):
         with pytest.raises(ParameterError):
             SystemConfig(na=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 64),
+        models=st.tuples(st.sampled_from(["identity", "exponential"]), st.sampled_from(["identity", "exponential"])),
+        rhos=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+        snr_db=st.floats(-40.0, 40.0) | st.just(float("inf")),
+        zeta_db=st.floats(-40.0, 20.0) | st.just(float("-inf")),
+        f=st.floats(0.05, 5.0),
+    )
+    def test_derived_constants_equal_the_trace_formula(self, m, models, rhos, snr_db, zeta_db, f):
+        # both correlation models have a unit diagonal, so the traces are m; the derived
+        # constants must equal, bit for bit, the formula over the traces of the full matrices
+        corr = [CorrelationSpec(model, rho, m) for model, rho in zip(models, rhos)]
+        cfg = SystemConfig(m=m, ma=m, mb=1, snr_db=snr_db, zeta_db=zeta_db, f=f, corr_h=corr[0], corr_g=corr[1])
+        tr_h = float(np.trace(build_correlation_matrix(cfg.corr_h)))
+        tr_g = float(np.trace(build_correlation_matrix(cfg.corr_g)))
+        sigma_u_sq = tr_h / (m * 10.0 ** (snr_db / 10.0))
+        zeta = 10.0 ** (zeta_db / 10.0)
+        alpha = 0.0 if zeta == 0.0 else float(np.sqrt(zeta * tr_h / (f**2 * tr_g)))
+        assert derive_noise_and_alpha(cfg) == (sigma_u_sq, alpha)
+        assert (cfg.sigma_u_sq, cfg.alpha) == (sigma_u_sq, alpha)
 
 
 def replay(cfg, link, n, seed):

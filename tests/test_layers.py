@@ -243,3 +243,75 @@ class TestMseLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             mse_loss(np.zeros(3), np.zeros(4))
+
+
+DTYPES = [np.float32, np.float64]
+
+
+def assert_float64_gradients(layer):
+    assert all(g.dtype == np.float64 for g in layer.named_gradients("l").values())
+
+
+class TestComputeDtype:
+    """Forward and backward follow the input's dtype; parameters and gradients stay float64.
+
+    A float64 parameter meeting a float32 activation would silently upcast the whole
+    pass to float64, so each layer is checked on its own.
+    """
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_conv(self, dtype, rng):
+        conv = Conv2D(2, 3, rng=rng)
+        out = conv.forward(rng.standard_normal((2, 4, 4, 2)).astype(dtype))
+        assert out.dtype == dtype
+        assert conv.backward(np.ones_like(out)).dtype == dtype
+        assert conv.w.dtype == conv.b.dtype == np.float64
+        assert_float64_gradients(conv)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("mode", [BatchNorm2D.TRAIN, BatchNorm2D.EVAL, "bypass"])
+    def test_batch_norm(self, mode, dtype, rng):
+        bn = BatchNorm2D(2)
+        bn.bypass = mode == "bypass"
+        bn.mode = BatchNorm2D.EVAL if mode == BatchNorm2D.EVAL else BatchNorm2D.TRAIN
+        out = bn.forward(rng.standard_normal((3, 4, 4, 2)).astype(dtype))
+        assert out.dtype == dtype
+        assert bn.backward(np.ones_like(out)).dtype == dtype
+        assert all(a.dtype == np.float64 for a in bn.running_stats("l").values())
+        assert_float64_gradients(bn)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_relu(self, identity, dtype, rng):
+        relu = ReLU()
+        relu.identity = identity
+        out = relu.forward(rng.standard_normal((2, 3)).astype(dtype))
+        assert out.dtype == dtype
+        assert relu.backward(np.ones_like(out)).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_dense(self, dtype, rng):
+        layer = Dense(4, 3, rng=rng)
+        out = layer.forward(rng.standard_normal((5, 4)).astype(dtype))
+        assert out.dtype == dtype
+        assert layer.backward(np.ones_like(out)).dtype == dtype
+        assert_float64_gradients(layer)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_mse_loss(self, dtype, rng):
+        loss, grad = mse_loss(rng.standard_normal((3, 4)).astype(dtype), rng.standard_normal((3, 4)).astype(dtype))
+        assert grad.dtype == dtype
+        assert type(loss) is float
+
+    def test_backward_runs_in_the_forward_dtype(self, rng):
+        conv = Conv2D(2, 3, rng=rng)
+        out = conv.forward(rng.standard_normal((2, 4, 4, 2)).astype(np.float32))
+        assert conv.backward(np.ones(out.shape)).dtype == np.float32
+
+    def test_other_dtypes_compute_in_float64(self, rng):
+        x = rng.standard_normal((2, 4, 4, 2))
+        conv = Conv2D(2, 3, rng=rng)
+        assert conv.forward(x.astype(np.float16)).dtype == np.float64
+        assert ReLU().forward(np.arange(3)).dtype == np.float64
+        _, grad = mse_loss(x.astype(np.float32), x)  # a float64 target keeps float64
+        assert grad.dtype == np.float64

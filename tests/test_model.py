@@ -13,17 +13,44 @@ from ambcest import (
     ParameterError,
     ShapeError,
     StateError,
+    SystemConfig,
+    TrainOptions,
     build_model,
+    generate_dataset,
     grad_check,
     load_checkpoint,
     mse_loss,
     save_checkpoint,
+    train,
 )
 from ambcest.layers import Conv2D
-from ambcest.model import PREDICT_CHUNK
+from ambcest.model import PREDICT_CHUNK, _fold
 from conftest import set_model_to_ls
 
 TINY = DenoiserHyper(blocks=1, layers_per_block=3, filters=4, ma=4, mb=4, pilots=2)
+C7 = DenoiserHyper(blocks=2, layers_per_block=4, filters=16, ma=8, mb=8, pilots=2)  # acceptance criterion 7
+
+# predict computes in float32: its largest deviation from the float64 eval forward must stay
+# within this share of the largest output entry (about 1e-6 is typical)
+PREDICT_RTOL = 1e-5
+
+
+def assert_predict_close(got, ref):
+    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+    assert err <= PREDICT_RTOL, f"predict deviates by {err:.3g} of max |ref|"
+
+
+def seed_batch_norms(model, rng, n=8):
+    """Random gamma/beta, and running stats moved away from (0, 1) by train-mode forwards."""
+    hp = model.hyper
+    model.train_mode()
+    for block in model.blocks:
+        for bn in block.bns:
+            bn.gamma[...] = rng.uniform(0.5, 2.0, bn.channels)
+            bn.beta[...] = rng.standard_normal(bn.channels)
+    for _ in range(3):
+        model.forward(2.0 * rng.standard_normal((n, hp.ma, hp.mb, hp.pilots)) + 1.0)
+    return model.eval_mode()
 
 
 class TestHyper:
@@ -109,7 +136,7 @@ class TestForward:
         sizes = []
         forward = Conv2D.forward
         monkeypatch.setattr(Conv2D, "forward", lambda conv, x: sizes.append(len(x)) or forward(conv, x))
-        np.testing.assert_allclose(model.predict(y), want, rtol=1e-12, atol=1e-12)
+        assert_predict_close(model.predict(y), want)
         convs = TINY.blocks * TINY.layers_per_block + 1  # the blocks' convs, then the 1x1 reconstruction
         assert sizes == [n for n in (PREDICT_CHUNK, PREDICT_CHUNK, 3) for _ in range(convs)]
 
@@ -117,17 +144,35 @@ class TestForward:
     @pytest.mark.parametrize("recon", ["conv1x1", "dense"])
     def test_folded_predict_matches_eval_forward(self, recon, analysis, rng):
         hp = DenoiserHyper(blocks=2, layers_per_block=3, filters=4, ma=4, mb=4, pilots=2, recon=recon)
-        model = build_model(hp, rng=5).train_mode()
-        for block in model.blocks:
-            for bn in block.bns:
-                bn.gamma[...] = rng.uniform(0.5, 2.0, bn.channels)
-                bn.beta[...] = rng.standard_normal(bn.channels)
-        for _ in range(3):  # running stats away from (0, 1)
-            model.forward(2.0 * rng.standard_normal((8, 4, 4, 2)) + 1.0)
-        model.eval_mode()
+        model = seed_batch_norms(build_model(hp, rng=5), rng)
         model.analysis = analysis
         y = rng.standard_normal((37, 4, 4, 2))
-        np.testing.assert_allclose(model.predict(y), model.forward(y), rtol=1e-12, atol=1e-12)
+        assert_predict_close(model.predict(y), model.forward(y))
+
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_fold_matches_conv_then_eval_batch_norm(self, bypass, rng):
+        # the fold algebra in float64, layer by layer: folded conv == eval bn(conv(x))
+        model = seed_batch_norms(build_model(C7, rng=1), rng)
+        x = rng.standard_normal((5, 8, 8, 2))
+        for block in model.blocks:
+            for conv, bn in zip(block.convs, block.bns + [None]):
+                if bn is not None:
+                    bn.bypass = bypass
+                want = conv.forward(x) if bn is None else bn.forward(conv.forward(x))
+                got = _fold(conv, bn).forward(x)
+                assert got.dtype == np.float64
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                x = rng.standard_normal(want.shape)
+
+    def test_predict_of_a_briefly_trained_net_matches_eval_forward(self):
+        ds = generate_dataset(SystemConfig(), "direct", 640, seed=3)
+        model, _ = train(build_model(C7, rng=0), ds, TrainOptions(max_epochs=1, patience=1))
+        assert_predict_close(model.predict(ds.y[:300]), model.forward(ds.y[:300]))
+
+    def test_predict_of_the_default_net_matches_eval_forward(self, rng):
+        model = seed_batch_norms(build_model(DenoiserHyper(), rng=0), rng, n=4)
+        y = rng.standard_normal((16, 8, 8, 2))
+        assert_predict_close(model.predict(y), model.forward(y))
 
     def test_predict_leaves_the_backward_caches_alone(self, rng):
         model = build_model(TINY, rng=2).train_mode()
@@ -204,6 +249,55 @@ class TestForward:
         assert not np.allclose(
             model.forward(y1 + y2), model.forward(y1) + model.forward(y2) - model.forward(np.zeros_like(y1)), atol=1e-10
         )
+
+
+class TestComputeDtype:
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("recon", ["conv1x1", "dense"])
+    def test_forward_and_backward_follow_the_input(self, recon, dtype, single, rng):
+        hp = DenoiserHyper(blocks=1, layers_per_block=3, filters=4, ma=4, mb=4, pilots=2, recon=recon)
+        model = build_model(hp, rng=0).train_mode()
+        y = rng.standard_normal((3, 4, 4, 2)).astype(dtype)
+        out = model.forward(y[0] if single else y)
+        assert out.dtype == dtype
+        assert model.backward(np.ones_like(out)).dtype == dtype
+        arrays = {**model.named_parameters(), **model.named_gradients(), **model.named_running_stats()}
+        assert all(a.dtype == np.float64 for a in arrays.values())
+
+    def test_predict_runs_the_residual_branches_in_float32(self, rng, monkeypatch):
+        # the folded convs see float32; the skip path and the reconstruction keep float64
+        model = build_model(TINY, rng=0).eval_mode()
+        seen = []
+        forward = Conv2D.forward
+        monkeypatch.setattr(Conv2D, "forward", lambda conv, x: seen.append((x.dtype, conv.w.dtype)) or forward(conv, x))
+        model.predict(rng.standard_normal((3, 4, 4, 2)))
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert seen == [(f32, f32)] * (TINY.blocks * TINY.layers_per_block) + [(f64, f64)]
+
+    def test_predict_returns_float64(self, rng):
+        model = build_model(TINY, rng=0).eval_mode()
+        for dtype in (np.float32, np.float64):
+            assert model.predict(rng.standard_normal((3, 4, 4, 2)).astype(dtype)).dtype == np.float64
+
+    def test_float32_gradients_match_float64(self, rng):
+        # one train-mode forward + backward of the criterion-7 net; each gradient must stay
+        # within 1e-4 of its largest float64 entry.  A conv bias feeding a train-mode batch
+        # norm has an exactly zero gradient, so it is held to 1e-4 of the largest gradient.
+        ds = generate_dataset(SystemConfig(), "direct", 64, seed=1)
+        model = seed_batch_norms(build_model(C7, rng=0), rng)
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            twin = model.clone().train_mode()
+            _, g = mse_loss(twin.forward(ds.y.astype(dtype)), ds.x.astype(dtype))
+            grads[dtype] = {"input": twin.backward(g / len(ds)), **twin.named_gradients()}
+        g64, g32 = grads[np.float64], grads[np.float32]
+        largest = max(np.max(np.abs(g)) for name, g in g64.items() if name != "input")
+        feeds_bn = {f"block{b}.conv{i}.b" for b in range(C7.blocks) for i in range(1, C7.layers_per_block)}
+        for name, g in g64.items():
+            scale = largest if name in feeds_bn else np.max(np.abs(g))
+            err = np.max(np.abs(g32[name] - g))
+            assert err <= 1e-4 * scale, f"{name}: {err:.3g} vs scale {scale:.3g}"
 
 
 class TestBackward:

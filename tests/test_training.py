@@ -88,6 +88,13 @@ class TestTrain:
             assert hist.best_epoch == last_best
             assert hist.best_val_loss == min(hist.val_loss)
 
+    def test_parameters_gradients_and_stats_stay_float64(self):
+        # train() computes in float32; the master copies it updates must stay float64
+        model, _ = train(build_model(SMALL, rng=0), small_dataset(k=64), TrainOptions(batch_size=32, max_epochs=1))
+        arrays = {**model.named_parameters(), **model.named_gradients(), **model.named_running_stats()}
+        assert any(np.any(g != 0) for g in model.named_gradients().values())  # a step was taken
+        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+
     def test_patience_stops_training_without_improvement(self):
         # an LS-perfect model on noiseless data has zero loss and zero gradient:
         # no epoch can strictly improve, so training must stop after `patience` epochs
