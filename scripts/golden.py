@@ -1,0 +1,104 @@
+"""Golden pipeline: a small fixed-seed CLI run whose files pin the package's numbers.
+
+    python3 scripts/golden.py CHECKOUT [OUTDIR]
+
+Runs the pipeline with CHECKOUT's src/ on the import path and prints the sha256 of
+every file it writes; run it on two checkouts and compare the lists.  OUTDIR (default:
+a new temporary directory) receives the files.  BLAS runs on one thread, so the float
+results do not depend on the machine's core count.  The pipeline draws a dataset
+(gen-data), trains on it with a per-epoch history (train --history), sweeps LS, MMSE
+and CRLD over two SNR points and both links, training the four CRLD checkpoints
+(sweep --train), and scores two of those checkpoints (eval, one per link; stdout is
+kept as eval_*.txt).  tests/test_golden.py runs the same pipeline through run() and
+checks its files against recorded values.
+"""
+
+import glob
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+CONFIG = """\
+m=16
+ma=4
+mb=4
+snr_db=0
+zeta_db=-5
+rho=0.9
+axis=snr
+values=-4,4
+methods=ls,mmse,crld
+links=direct,composite
+trials=1000
+batch_size=64
+max_epochs=3
+patience=3
+seed=7
+"""
+
+NET = ("--blocks", "1", "--layers-per-block", "2", "--filters", "4")
+
+# (CLI arguments, file that receives stdout or None)
+COMMANDS = (
+    (("gen-data", "--config", "golden.conf", "--k", "3000", "--out", "data.ambd"), None),
+    (("train", "--config", "golden.conf", "--data", "data.ambd", "--out", "train.ckpt",
+      "--history", "history.csv", *NET), None),
+    (("sweep", "--config", "golden.conf", "--out", "sweep.csv", "--checkpoint-dir", "ck",
+      "--train", "--train-k", "3000", *NET), None),
+    (("eval", "--config", "golden.conf", "--checkpoint", "ck/crld_direct_snr-4dB_p2.ckpt",
+      "--trials", "2000"), "eval_direct.txt"),
+    (("eval", "--config", "golden.conf", "--checkpoint", "ck/crld_composite_snr+4dB_p2.ckpt",
+      "--link", "composite", "--trials", "2000"), "eval_composite.txt"),
+)
+
+ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def run(checkout: str, outdir: str) -> list[str]:
+    """Run the pipeline from `checkout` into `outdir`; returns the written files, relative
+    to `outdir`, in a fixed order.  A failing command raises CalledProcessError."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    if not os.path.isfile(os.path.join(src, "ambcest", "__init__.py")):
+        raise FileNotFoundError(f"no package source under {src}")
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "golden.conf"), "w") as f:
+        f.write(CONFIG)
+    env = {**os.environ, "PYTHONPATH": src, **ONE_BLAS_THREAD}
+    for args, stdout_name in COMMANDS:
+        cmd = [sys.executable, "-m", "ambcest.cli", *args]
+        if stdout_name is None:
+            subprocess.run(cmd, cwd=outdir, env=env, check=True, stdout=sys.stderr)
+        else:
+            with open(os.path.join(outdir, stdout_name), "w") as out:
+                subprocess.run(cmd, cwd=outdir, env=env, check=True, stdout=out)
+    checkpoints = sorted(os.path.relpath(p, outdir) for p in glob.glob(os.path.join(outdir, "ck", "*.ckpt")))
+    return ["data.ambd", "train.ckpt", "history.csv", "sweep.csv", *checkpoints,
+            "eval_direct.txt", "eval_composite.txt"]
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (1, 2):
+        print(f"usage: {os.path.basename(sys.argv[0])} CHECKOUT [OUTDIR]", file=sys.stderr)
+        return 2
+    outdir = argv[1] if len(argv) == 2 else tempfile.mkdtemp(prefix="golden-")
+    try:
+        files = run(argv[0], outdir)
+    except (FileNotFoundError, subprocess.CalledProcessError) as exc:
+        print(f"golden: {exc}", file=sys.stderr)
+        return 2
+    print(f"golden: files in {outdir}", file=sys.stderr)
+    for name in files:
+        print(f"{sha256(os.path.join(outdir, name))}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,7 @@
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +373,67 @@ class TestStateDict:
         assert np.array_equal(model.forward(y), twin.forward(y))
         twin.recon.b[...] = 50.0
         assert model.recon.b[0] != 50.0
+
+
+C7_PARAMETER_NAMES = [
+    f"block{b}.{name}"
+    for b in range(2)
+    for layer in range(1, 5)
+    for name in ([f"conv{layer}.w", f"conv{layer}.b"]
+                 + ([f"bn{layer}.gamma", f"bn{layer}.beta"] if layer < 4 else []))
+] + ["recon.w", "recon.b"]
+C7_RUNNING_STAT_NAMES = [
+    f"block{b}.bn{layer}.{stat}" for b in range(2) for layer in range(1, 4)
+    for stat in ("running_mean", "running_var")
+]
+
+# tests/data/layout_b6dac2d.ckpt: a LAYOUT net holding layout_state(), written by
+# save_checkpoint at commit b6dac2d
+LAYOUT = DenoiserHyper(blocks=2, layers_per_block=3, filters=3, ma=4, mb=4, pilots=2)
+LAYOUT_CKPT = Path(__file__).parent / "data" / "layout_b6dac2d.ckpt"
+
+
+def layout_state(model) -> dict:
+    """Distinct values for every state entry, drawn in state_dict order (variances > 0)."""
+    rng = np.random.default_rng(2024)
+    state = {}
+    for name, arr in model.state_dict().items():
+        draw = rng.standard_normal(arr.shape)
+        state[name] = np.abs(draw) + 0.5 if name.endswith("running_var") else draw
+    return state
+
+
+class TestStateLayout:
+    """Names and order of the named state define the .ckpt layout; neither may move."""
+
+    def test_criterion_7_names_and_order(self):
+        model = build_model(C7, rng=0)
+        assert list(model.named_parameters()) == C7_PARAMETER_NAMES
+        assert list(model.named_gradients()) == C7_PARAMETER_NAMES
+        assert list(model.named_running_stats()) == C7_RUNNING_STAT_NAMES
+        assert list(model.state_dict()) == C7_PARAMETER_NAMES + C7_RUNNING_STAT_NAMES
+
+    def test_named_state_entries_are_the_live_arrays(self):
+        model = build_model(C7, rng=0)
+        block = model.blocks[1]
+        assert model.named_parameters()["block1.conv4.w"] is block.convs[3].w
+        assert model.named_parameters()["block1.bn2.gamma"] is block.bns[1].gamma
+        assert model.named_running_stats()["block1.bn3.running_var"] is block.bns[2].running_var
+        model.train_mode().forward(np.ones((2, 8, 8, 2)))
+        model.backward(np.ones((2, 8, 8)))
+        assert model.named_gradients()["block1.bn2.gamma"] is block.bns[1].grad_gamma
+        assert model.named_gradients()["recon.b"] is model.recon.grad_b
+
+    def test_checkpoint_written_at_b6dac2d_loads_bit_exact(self, tmp_path):
+        loaded = load_checkpoint(LAYOUT_CKPT)
+        assert loaded.hyper == LAYOUT
+        want = layout_state(build_model(LAYOUT, rng=0))
+        state = loaded.state_dict()
+        assert list(state) == list(want)
+        for name, arr in want.items():
+            assert np.array_equal(state[name], arr), name
+        save_checkpoint(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == LAYOUT_CKPT.read_bytes()
 
 
 class TestCheckpoint:
