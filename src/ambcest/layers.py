@@ -41,7 +41,8 @@ class Conv2D:
 
     out[y, x, k] = b[k] + sum_{dy,dx,c} w[k, dy, dx, c] * padded_in[y+dy, x+dx, c]
     Implemented as a shifted GEMM: one (N*H*W, C_in) @ (C_in, K) product per tap (dy, dx), summed.
-    Backward reuses the tap loop for both gradients, so forward caches only its input.
+    Forward zero-pads its input once and caches only that padded copy; backward reuses it
+    for both gradients through the same tap loop.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3, *, rng=None):
@@ -61,48 +62,51 @@ class Conv2D:
         self.b = np.zeros(out_channels)
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
-        self._x = None
+        self._x_pad = None
 
-    def _taps(self, x: np.ndarray):
-        """Yield (dy, dx, window) with window the (N*H*W, C_in) rows of padded x at (dy, dx)."""
-        k = self.kernel_size
-        pad = k // 2
-        n, h, w_dim, c = x.shape
-        if pad:
-            x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        for dy in range(k):
-            for dx in range(k):
-                yield dy, dx, x[:, dy : dy + h, dx : dx + w_dim, :].reshape(n * h * w_dim, c)
+    def _taps(self, x_pad: np.ndarray, h: int, w_dim: int):
+        """Yield (dy, dx, window) with window the (N*H*W, C_in) rows of x_pad at (dy, dx)."""
+        n, c = x_pad.shape[0], x_pad.shape[3]
+        for dy in range(self.kernel_size):
+            for dx in range(self.kernel_size):
+                yield dy, dx, x_pad[:, dy : dy + h, dx : dx + w_dim, :].reshape(n * h * w_dim, c)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_batch(x)
         if x.shape[3] != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[3]}")
-        n, h, w_dim, _ = x.shape
+        n, h, w_dim, c = x.shape
+        pad = self.kernel_size // 2
+        if pad:
+            x_pad = np.zeros((n, h + 2 * pad, w_dim + 2 * pad, c), dtype=x.dtype)
+            x_pad[:, pad : pad + h, pad : pad + w_dim, :] = x
+        else:
+            x_pad = x
         w = self.w.astype(x.dtype, copy=False)
         out = np.full((n * h * w_dim, self.out_channels), self.b, dtype=x.dtype)
-        for dy, dx, window in self._taps(x):
+        for dy, dx, window in self._taps(x_pad, h, w_dim):
             out += window @ w[:, dy, dx, :].T
-        self._x = x
+        self._x_pad = x_pad
         return out.reshape(n, h, w_dim, self.out_channels)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
+        if self._x_pad is None:
             raise ShapeError("backward called before forward")
-        grad_out = np.asarray(grad_out, dtype=self._x.dtype)
-        n, h, w_dim, c_in = self._x.shape
+        x_pad = self._x_pad
+        pad = self.kernel_size // 2
+        grad_out = np.asarray(grad_out, dtype=x_pad.dtype)
+        n, h, w_dim, c_in = x_pad.shape[0], x_pad.shape[1] - 2 * pad, x_pad.shape[2] - 2 * pad, x_pad.shape[3]
         if grad_out.shape != (n, h, w_dim, self.out_channels):
             raise ShapeError(
                 f"grad_out shape {grad_out.shape} does not match forward output "
                 f"{(n, h, w_dim, self.out_channels)}"
             )
-        pad = self.kernel_size // 2
         gmat = grad_out.reshape(n * h * w_dim, self.out_channels)
         w = self.w.astype(gmat.dtype, copy=False)
         self.grad_b = gmat.sum(axis=0, dtype=np.float64)
         self.grad_w = np.empty_like(self.w)
-        grad_pad = np.zeros((n, h + 2 * pad, w_dim + 2 * pad, c_in), dtype=gmat.dtype)
-        for dy, dx, window in self._taps(self._x):
+        grad_pad = np.zeros(x_pad.shape, dtype=gmat.dtype)
+        for dy, dx, window in self._taps(x_pad, h, w_dim):
             self.grad_w[:, dy, dx, :] = gmat.T @ window
             tap_grad = gmat @ w[:, dy, dx, :]
             grad_pad[:, dy : dy + h, dx : dx + w_dim, :] += tap_grad.reshape(n, h, w_dim, c_in)
@@ -159,7 +163,9 @@ class BatchNorm2D:
     Train mode normalizes with the batch moments (population variance) and updates the
     running stats with `momentum`; eval mode applies the stored running stats, which makes
     it a deterministic per-channel affine map.  `bypass` turns the layer into an identity
-    (used by the linear-analysis mode).
+    (used by the linear-analysis mode).  Forward centres its input once into an array of
+    its own, normalizes that array in place and caches it as xhat; backward builds the
+    input gradient from one scaled copy of grad_out, with per-channel sums in float64.
     """
 
     TRAIN = "train"
@@ -192,22 +198,27 @@ class BatchNorm2D:
         if self.bypass:
             self._cache = ("bypass", x.dtype)
             return x
+        dt = x.dtype
+        out = np.empty_like(x)
         if self.mode == self.TRAIN:
             m = x.shape[0] * x.shape[1] * x.shape[2]
             if m < 2:
                 raise ParameterError(f"train-mode batch norm needs N*H*W >= 2, got {m}")
             mean = x.mean(axis=(0, 1, 2))
-            var = x.var(axis=(0, 1, 2))
+            xhat = x - mean
+            # the population variance as x.var computes it, from the one centred copy
+            var = np.multiply(xhat, xhat, out=out).sum(axis=(0, 1, 2)) / m
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
-            mean = self.running_mean
             var = self.running_var
-        dt = x.dtype
+            xhat = x - self.running_mean.astype(dt, copy=False)
         inv_std = (1.0 / np.sqrt(var + self.eps)).astype(dt, copy=False)
-        xhat = (x - mean.astype(dt, copy=False)) * inv_std
-        self._cache = (self.mode, xhat, inv_std, x.shape)
-        return self.gamma.astype(dt, copy=False) * xhat + self.beta.astype(dt, copy=False)
+        xhat *= inv_std
+        self._cache = (self.mode, xhat, inv_std)
+        np.multiply(xhat, self.gamma.astype(dt, copy=False), out=out)
+        out += self.beta.astype(dt, copy=False)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -216,23 +227,22 @@ class BatchNorm2D:
             self.grad_gamma = np.zeros_like(self.gamma)
             self.grad_beta = np.zeros_like(self.beta)
             return np.asarray(grad_out, dtype=self._cache[1])
-        mode, xhat, inv_std, shape = self._cache
-        grad_out = np.asarray(grad_out, dtype=xhat.dtype)
-        if grad_out.shape != shape:
-            raise ShapeError(f"grad_out shape {grad_out.shape} does not match forward output {shape}")
-        self.grad_gamma = np.sum(grad_out * xhat, axis=(0, 1, 2), dtype=np.float64)
+        mode, xhat, inv_std = self._cache
+        dt = xhat.dtype
+        grad_out = np.asarray(grad_out, dtype=dt)
+        if grad_out.shape != xhat.shape:
+            raise ShapeError(f"grad_out shape {grad_out.shape} does not match forward output {xhat.shape}")
+        prod = grad_out * xhat
+        self.grad_gamma = np.sum(prod, axis=(0, 1, 2), dtype=np.float64)
         self.grad_beta = np.sum(grad_out, axis=(0, 1, 2), dtype=np.float64)
-        dxhat = grad_out * self.gamma.astype(xhat.dtype, copy=False)
+        scale = self.gamma * inv_std
+        grad_in = grad_out * scale.astype(dt, copy=False)
         if mode == self.TRAIN:
-            # standard BN input gradient through the batch statistics; the 1/m factors
-            # are absorbed into the two means
-            grad_in = (
-                dxhat
-                - dxhat.mean(axis=(0, 1, 2))
-                - xhat * np.mean(dxhat * xhat, axis=(0, 1, 2))
-            ) * inv_std
-        else:
-            grad_in = dxhat * inv_std
+            # standard BN input gradient through the batch statistics:
+            # gamma * inv_std * (g - sum(g) / m - xhat * sum(g * xhat) / m)
+            m = xhat.size // xhat.shape[3]
+            grad_in -= (scale * self.grad_beta / m).astype(dt, copy=False)
+            grad_in -= np.multiply(xhat, (scale * self.grad_gamma / m).astype(dt, copy=False), out=prod)
         return grad_in
 
     def named_parameters(self, prefix: str) -> dict:
@@ -246,7 +256,9 @@ class BatchNorm2D:
 
 
 class ReLU:
-    """Elementwise max(0, x); subgradient at 0 is 0.  `identity` disables the nonlinearity."""
+    """Elementwise max(0, x); subgradient at 0 is 0.  `identity` disables the nonlinearity.
+
+    Forward keeps only the boolean mask x > 0 for backward."""
 
     def __init__(self):
         self.identity = False
@@ -259,8 +271,9 @@ class ReLU:
         if self.identity:
             self._mask = None
             return x
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        out = np.maximum(x, 0)
+        self._mask = out > 0
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._dtype is None:

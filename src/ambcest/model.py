@@ -95,9 +95,6 @@ class DenoisingBlock:
             g = self.convs[i].backward(g)
         return grad_out + g
 
-    def layers(self):
-        return self.convs, self.bns, self.relus
-
 
 class ResidualDenoiser:
     """The assembled network.  Construct via build_model(); set a mode before forward."""
@@ -196,7 +193,7 @@ class ResidualDenoiser:
                 s = chunk.astype(np.float32)
                 for conv, relu in layers:
                     s = conv.forward(s)
-                    conv._x = None  # a folded copy never runs backward
+                    conv._x_pad = None  # a folded copy never runs backward
                     if relu is not None and not relu.identity:
                         np.maximum(s, 0, out=s)
                 chunk = chunk - s
@@ -229,33 +226,30 @@ class ResidualDenoiser:
 
     # -- parameter plumbing ----------------------------------------------
 
+    def _named_layers(self):
+        """(prefix, layer) for every layer with state, in serialization order: per block
+        conv1, bn1, ..., convL, then the reconstruction layer."""
+        for bi, block in enumerate(self.blocks):
+            for li, (conv, bn) in enumerate(zip(block.convs, [*block.bns, None]), start=1):
+                yield f"block{bi}.conv{li}", conv
+                if bn is not None:
+                    yield f"block{bi}.bn{li}", bn
+        yield "recon", self.recon
+
     def named_parameters(self) -> dict[str, np.ndarray]:
         """Trainable parameters as live views, in deterministic serialization order."""
-        out: dict[str, np.ndarray] = {}
-        for bi, block in enumerate(self.blocks):
-            for li, conv in enumerate(block.convs, start=1):
-                out.update(conv.named_parameters(f"block{bi}.conv{li}"))
-                if li <= len(block.bns):
-                    out.update(block.bns[li - 1].named_parameters(f"block{bi}.bn{li}"))
-        out.update(self.recon.named_parameters("recon"))
-        return out
+        return {k: v for prefix, layer in self._named_layers() for k, v in layer.named_parameters(prefix).items()}
 
     def named_gradients(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for bi, block in enumerate(self.blocks):
-            for li, conv in enumerate(block.convs, start=1):
-                out.update(conv.named_gradients(f"block{bi}.conv{li}"))
-                if li <= len(block.bns):
-                    out.update(block.bns[li - 1].named_gradients(f"block{bi}.bn{li}"))
-        out.update(self.recon.named_gradients("recon"))
-        return out
+        return {k: v for prefix, layer in self._named_layers() for k, v in layer.named_gradients(prefix).items()}
 
     def named_running_stats(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for bi, block in enumerate(self.blocks):
-            for li in range(1, len(block.bns) + 1):
-                out.update(block.bns[li - 1].running_stats(f"block{bi}.bn{li}"))
-        return out
+        return {
+            k: v
+            for prefix, layer in self._named_layers()
+            if isinstance(layer, BatchNorm2D)
+            for k, v in layer.running_stats(prefix).items()
+        }
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.named_parameters().values())

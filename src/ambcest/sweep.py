@@ -164,13 +164,15 @@ def _score_point(
         model = _crld_model(
             cfg, link, checkpoint_dir, train_missing, hyper, train_opts, train_k, train_seed,
         )
+    if "ls" in methods or "mmse" in methods:
+        ls = ls_estimate(y)  # the LS row and MMSE's P-sample mean
     rows = []
     for method in methods:
         if method == "ls":
-            est = ls_estimate(y)
+            est = ls
         elif method == "mmse":
             R = link_correlation(cfg, link)
-            est = mmse_estimate_vector(ls_estimate(y), R, cfg.sigma_u_sq, p)
+            est = mmse_estimate_vector(ls, R, cfg.sigma_u_sq, p)
         else:
             est = model.predict(y)
         score = nmse(x_vec, est.reshape(trials, -1))

@@ -1,7 +1,10 @@
-"""Layer tests: conv against a scipy oracle, batch norm moments, activations, loss."""
+"""Layer tests: conv against a scipy oracle, batch norm moments, activations, loss, and the
+layers against the reference formulas they replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from ambcest import (
@@ -315,3 +318,172 @@ class TestComputeDtype:
         assert ReLU().forward(np.arange(3)).dtype == np.float64
         _, grad = mse_loss(x.astype(np.float32), x)  # a float64 target keeps float64
         assert grad.dtype == np.float64
+
+
+# -- the earlier layer formulas, kept as the reference for the in-place layer code ------
+
+
+def ref_conv(x, w, b):
+    """np.pad once per call, one GEMM per tap; returns (out, backward(g))."""
+    k = w.shape[1]
+    pad = k // 2
+    n, h, wd, c = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    windows = {(dy, dx): xp[:, dy : dy + h, dx : dx + wd, :].reshape(n * h * wd, c)
+               for dy in range(k) for dx in range(k)}
+    out = np.full((n * h * wd, w.shape[0]), b)
+    for (dy, dx), win in windows.items():
+        out += win @ w[:, dy, dx, :].T
+
+    def backward(g):
+        gmat = g.reshape(n * h * wd, w.shape[0])
+        grad_w = np.empty_like(w)
+        grad_pad = np.zeros(xp.shape)
+        for (dy, dx), win in windows.items():
+            grad_w[:, dy, dx, :] = gmat.T @ win
+            grad_pad[:, dy : dy + h, dx : dx + wd, :] += (gmat @ w[:, dy, dx, :]).reshape(n, h, wd, c)
+        return grad_pad[:, pad : pad + h, pad : pad + wd, :], grad_w, gmat.sum(axis=0)
+
+    return out.reshape(n, h, wd, w.shape[0]), backward
+
+
+def ref_batch_norm(x, bn, mode):
+    """Batch norm with x.mean/x.var moments; returns (out, running stats, backward(g))."""
+    if mode == BatchNorm2D.TRAIN:
+        mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+        running = ((1 - bn.momentum) * bn.running_mean + bn.momentum * mean,
+                   (1 - bn.momentum) * bn.running_var + bn.momentum * var)
+    else:
+        mean, var = bn.running_mean, bn.running_var
+        running = (bn.running_mean, bn.running_var)
+    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    xhat = (x - mean) * inv_std
+
+    def backward(g):
+        dxhat = g * bn.gamma
+        if mode == BatchNorm2D.TRAIN:
+            grad_in = (dxhat - dxhat.mean(axis=(0, 1, 2))
+                       - xhat * np.mean(dxhat * xhat, axis=(0, 1, 2))) * inv_std
+        else:
+            grad_in = dxhat * inv_std
+        return grad_in, np.sum(g * xhat, axis=(0, 1, 2)), np.sum(g, axis=(0, 1, 2))
+
+    return bn.gamma * xhat + bn.beta, running, backward
+
+
+def ref_relu(x):
+    mask = x > 0
+    return np.where(mask, x, 0.0), lambda g: np.where(mask, g, 0.0)
+
+
+def assert_matches_reference(got, ref, dtype):
+    """float64: rtol 1e-12 (atol 1e-12 of max|ref| for entries that cancel to near zero);
+    float32: within 1e-5 of max|ref|."""
+    got, ref = np.asarray(got), np.asarray(ref, dtype=np.float64)
+    scale = np.max(np.abs(ref)) if ref.size else 0.0
+    if dtype == np.float64:
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+    else:
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-5 * scale
+
+
+def seeded_batch_norm(rng, channels, mode):
+    bn = BatchNorm2D(channels, momentum=0.2)
+    bn.gamma[...] = rng.uniform(0.5, 2.0, channels)
+    bn.beta[...] = rng.standard_normal(channels)
+    bn.running_mean[...] = rng.standard_normal(channels)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, channels)
+    bn.mode = BatchNorm2D.EVAL if mode == BatchNorm2D.EVAL else BatchNorm2D.TRAIN
+    bn.bypass = mode == "bypass"
+    return bn
+
+
+class TestAgainstReference:
+    """Forward and backward of Conv2D, BatchNorm2D and ReLU against the formulas above.
+
+    float32 results are held against the float64 reference of the same input."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv(self, k, dtype, rng):
+        conv = Conv2D(3, 5, kernel_size=k, rng=rng)
+        conv.b[...] = rng.standard_normal(5)
+        x = rng.standard_normal((4, 6, 7, 3)).astype(dtype)
+        g = rng.standard_normal((4, 6, 7, 5)).astype(dtype)
+        out, backward = ref_conv(x.astype(np.float64), conv.w, conv.b)
+        grad_in, grad_w, grad_b = backward(g.astype(np.float64))
+        assert_matches_reference(conv.forward(x), out, dtype)
+        assert_matches_reference(conv.backward(g), grad_in, dtype)
+        assert_matches_reference(conv.grad_w, grad_w, dtype)
+        assert_matches_reference(conv.grad_b, grad_b, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("mode", [BatchNorm2D.TRAIN, BatchNorm2D.EVAL, "bypass"])
+    def test_batch_norm(self, mode, dtype, rng):
+        bn = seeded_batch_norm(rng, 4, mode)
+        x = (3.0 * rng.standard_normal((5, 6, 7, 4)) + 1.0).astype(dtype)
+        g = rng.standard_normal((5, 6, 7, 4)).astype(dtype)
+        if mode == "bypass":
+            out, running = x, (bn.running_mean.copy(), bn.running_var.copy())
+            grad_in, grad_gamma, grad_beta = g, np.zeros(4), np.zeros(4)
+        else:
+            out, running, backward = ref_batch_norm(x.astype(np.float64), bn, mode)
+            grad_in, grad_gamma, grad_beta = backward(g.astype(np.float64))
+        assert_matches_reference(bn.forward(x), out, dtype)
+        assert_matches_reference(bn.running_mean, running[0], dtype)
+        assert_matches_reference(bn.running_var, running[1], dtype)
+        assert_matches_reference(bn.backward(g), grad_in, dtype)
+        assert_matches_reference(bn.grad_gamma, grad_gamma, dtype)
+        assert_matches_reference(bn.grad_beta, grad_beta, dtype)
+
+    def test_batch_norm_float64_forward_and_moments_are_unchanged_bit_for_bit(self, rng):
+        bn = seeded_batch_norm(rng, 4, BatchNorm2D.TRAIN)
+        x = 3.0 * rng.standard_normal((5, 6, 7, 4)) + 1.0
+        out, running, _ = ref_batch_norm(x, bn, BatchNorm2D.TRAIN)
+        assert np.array_equal(bn.forward(x), out)
+        assert np.array_equal(bn.running_mean, running[0])
+        assert np.array_equal(bn.running_var, running[1])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_relu(self, identity, dtype, rng):
+        relu = ReLU()
+        relu.identity = identity
+        x = rng.standard_normal((3, 4, 4, 2)).astype(dtype)
+        x[0, 0, 0] = 0.0
+        g = rng.standard_normal((3, 4, 4, 2)).astype(dtype)
+        out, backward = (x, lambda grad: grad) if identity else ref_relu(x)
+        assert np.array_equal(relu.forward(x), out)
+        assert np.array_equal(relu.backward(g), backward(g))
+
+
+def _layer_under_test(kind, channels, dtype_rng):
+    if kind.startswith("conv"):
+        return Conv2D(channels, 3, kernel_size=int(kind[-1]), rng=dtype_rng)
+    if kind == "relu":
+        return ReLU()
+    return seeded_batch_norm(dtype_rng, channels, kind.removeprefix("bn-"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["conv1", "conv3", "bn-train", "bn-eval", "bn-bypass", "relu"]),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+    dtype=st.sampled_from(DTYPES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_layer_writes_to_the_arrays_it_is_passed(kind, shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "bn-train" and shape[0] * shape[1] * shape[2] < 2:
+        shape = (2, *shape[1:])
+    layer = _layer_under_test(kind, shape[3], rng)
+    x = rng.standard_normal(shape).astype(dtype)
+    x_before = x.copy()
+    out = layer.forward(x)
+    out_before = out.copy()
+    g = rng.standard_normal(out.shape).astype(dtype)
+    g_before = g.copy()
+    layer.backward(g)
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(g, g_before)
+    assert np.array_equal(out, out_before)

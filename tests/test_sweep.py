@@ -74,6 +74,23 @@ class TestCheckpointName:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("methods", [("ls", "mmse"), ("mmse",), ("mmse", "ls")])
+    def test_ls_is_computed_once_per_point(self, methods, monkeypatch):
+        import ambcest.sweep as sweep_module
+
+        calls = []
+        real_ls = sweep_module.ls_estimate
+
+        def counting_ls(y):
+            calls.append(y.shape)
+            return real_ls(y)
+
+        plan = ExperimentPlan(values=(-6.0, 0.0), methods=methods, trials=400)
+        want = run_sweep(plan, iid_config(), seed=0).rows
+        monkeypatch.setattr(sweep_module, "ls_estimate", counting_ls)
+        assert run_sweep(plan, iid_config(), seed=0).rows == want
+        assert len(calls) == len(plan.values)
+
     def test_rows_come_back_in_plan_order(self):
         plan = ExperimentPlan(values=(-6.0, 0.0), methods=("ls", "mmse"), trials=400)
         report = run_sweep(plan, iid_config(), seed=0)
