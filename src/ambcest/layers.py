@@ -41,8 +41,8 @@ class Conv2D:
 
     out[y, x, k] = b[k] + sum_{dy,dx,c} w[k, dy, dx, c] * padded_in[y+dy, x+dx, c]
     Implemented as a shifted GEMM: one (N*H*W, C_in) @ (C_in, K) product per tap (dy, dx), summed.
-    Forward zero-pads its input once and caches only that padded copy; backward reuses it
-    for both gradients through the same tap loop.
+    Forward zero-pads its input once and caches only that padded copy (the input itself
+    when kernel_size is 1); backward reuses it for both gradients through the same tap loop.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3, *, rng=None):
@@ -95,7 +95,8 @@ class Conv2D:
         x_pad = self._x_pad
         pad = self.kernel_size // 2
         grad_out = np.asarray(grad_out, dtype=x_pad.dtype)
-        n, h, w_dim, c_in = x_pad.shape[0], x_pad.shape[1] - 2 * pad, x_pad.shape[2] - 2 * pad, x_pad.shape[3]
+        n, h_pad, w_pad, c_in = x_pad.shape
+        h, w_dim = h_pad - 2 * pad, w_pad - 2 * pad
         if grad_out.shape != (n, h, w_dim, self.out_channels):
             raise ShapeError(
                 f"grad_out shape {grad_out.shape} does not match forward output "

@@ -457,12 +457,12 @@ class TestAgainstReference:
         assert np.array_equal(relu.backward(g), backward(g))
 
 
-def _layer_under_test(kind, channels, dtype_rng):
+def _layer_under_test(kind, channels, rng):
     if kind.startswith("conv"):
-        return Conv2D(channels, 3, kernel_size=int(kind[-1]), rng=dtype_rng)
+        return Conv2D(channels, 3, kernel_size=int(kind[-1]), rng=rng)
     if kind == "relu":
         return ReLU()
-    return seeded_batch_norm(dtype_rng, channels, kind.removeprefix("bn-"))
+    return seeded_batch_norm(rng, channels, kind.removeprefix("bn-"))
 
 
 @settings(max_examples=60, deadline=None)
