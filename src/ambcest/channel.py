@@ -207,21 +207,23 @@ def simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n independent (observation, truth) pairs for one link.
 
-    Returns Y with shape (n, Ma, Mb, P) and the noiseless truth X with shape (n, Ma, Mb).
-    Each pair uses a fresh channel realization and fresh noise.  This is the Monte Carlo
-    workhorse: channels are drawn in one batched Cholesky product.
+    Returns Y with shape (n, Ma, Mb, P) and the noiseless truth X with shape (n, Ma, Mb),
+    both C-contiguous and sharing no memory.  Each pair uses a fresh channel (one batched
+    Cholesky product) and fresh noise, scaled in place; this is the Monte Carlo workhorse,
+    so each pilot slice x + u(p) is written straight into its place in Y.
     """
     if n < 1:
         raise ParameterError(f"batch size must be >= 1, got {n}")
     sigma_u_sq, alpha = derive_noise_and_alpha(cfg)
     p = pilots_for_link(cfg, link)
-    h = sample_gaussian_vector(build_correlation_matrix(cfg.corr_h), rng, size=n)
+    x = sample_gaussian_vector(build_correlation_matrix(cfg.corr_h), rng, size=n)
     if link == LINK_COMPOSITE:
         g = sample_gaussian_vector(build_correlation_matrix(cfg.corr_g), rng, size=n)
-        x = h + alpha * cfg.f * g
-    else:
-        x = h
-    noise = np.sqrt(sigma_u_sq) * rng.standard_normal((n, p, cfg.m))
-    samples = x[:, None, :] + noise  # (n, P, M)
-    y = np.ascontiguousarray(np.moveaxis(vec_to_mat(samples, cfg.ma, cfg.mb), 1, -1))
-    return y, vec_to_mat(x, cfg.ma, cfg.mb)
+        g *= alpha * cfg.f
+        x += g
+    noise = rng.standard_normal((n, p, cfg.m))
+    noise *= np.sqrt(sigma_u_sq)
+    y = np.empty((n, cfg.m, p))
+    for i in range(p):
+        np.add(x, noise[:, i, :], out=y[:, :, i])
+    return y.reshape(n, cfg.ma, cfg.mb, p), vec_to_mat(x, cfg.ma, cfg.mb)

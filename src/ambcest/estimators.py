@@ -14,18 +14,28 @@ from scipy import stats
 from .errors import MetricError, NumericError, ParameterError, ShapeError
 
 
+PAIRWISE_MIN_PILOTS = 8  # numpy sums >= 8 values pairwise, so an in-order sum loses y.mean's bits
+
+
 def ls_estimate(y: np.ndarray) -> np.ndarray:
     """LS estimate: the per-element mean over the P pilot slices, flattened row-major.
 
     Accepts an Ma x Mb x P tensor (returns an M-vector) or a batch (n, Ma, Mb, P)
-    (returns (n, M)).
+    (returns (n, M)).  Below PAIRWISE_MIN_PILOTS pilots it adds y[..., 0], y[..., 1], ...
+    in order onto +0.0 and divides by P once: y.mean(axis=-1)'s bits in any layout, faster.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 3:
-        return y.mean(axis=2).reshape(-1)
-    if y.ndim == 4:
-        return y.mean(axis=3).reshape(y.shape[0], -1)
-    raise ShapeError(f"expected (Ma, Mb, P) or (n, Ma, Mb, P), got shape {y.shape}")
+    if y.ndim not in (3, 4) or y.shape[-1] < 1:
+        raise ShapeError(f"expected (Ma, Mb, P) or (n, Ma, Mb, P) with P >= 1, got shape {y.shape}")
+    p = y.shape[-1]
+    if p >= PAIRWISE_MIN_PILOTS:
+        total = y.mean(axis=-1)
+    else:
+        total = y[..., 0] + 0.0  # the reduction starts from +0.0, so -0.0 sums to +0.0
+        for i in range(1, p):
+            total += y[..., i]
+        total /= p
+    return total.reshape(*y.shape[:-3], -1)
 
 
 def _require_pd(R: np.ndarray, what: str) -> np.ndarray:
@@ -204,7 +214,8 @@ def nmse(truth: np.ndarray, estimates: np.ndarray, *, ci_batches: int = 20) -> N
 
     The confidence half-width comes from batch means: the trials are split into
     `ci_batches` contiguous groups, the per-group NMSEs feed a t-interval.  NaN when
-    fewer than two groups are available.
+    fewer than two groups are available.  A non-finite NMSE (NaN or inf in the truth or
+    the estimates, or an overflowing sum) raises NumericError.
     """
     truth = np.asarray(truth, dtype=np.float64)
     estimates = np.asarray(estimates, dtype=np.float64)
@@ -221,6 +232,9 @@ def nmse(truth: np.ndarray, estimates: np.ndarray, *, ci_batches: int = 20) -> N
     if total_den == 0.0:
         raise MetricError("NMSE is undefined for an all-zero truth batch")
     value = float(num.sum() / total_den)
+    if not np.isfinite(value):
+        bad = int(np.count_nonzero(~np.isfinite(num + den)))
+        raise NumericError(f"NMSE is {value}: {bad} of {n} trials have a non-finite error or truth")
     b = min(ci_batches, n)
     if b < 2:
         return NmseEstimate(value=value, ci_half_width=float("nan"), trials=n)

@@ -75,7 +75,7 @@ class ReportRow:
     trials: int
 
     def __post_init__(self):
-        if self.nmse < 0 or (self.ci_half_width == self.ci_half_width and self.ci_half_width < 0):
+        if not self.nmse >= 0 or (self.ci_half_width == self.ci_half_width and self.ci_half_width < 0):
             raise ParameterError("nmse and ci_half_width must be non-negative")
 
 

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ambcest import CorrelationSpec, SystemConfig
 from ambcest.model import ResidualDenoiser
+
+# property tests draw the same examples on every run, so a failure repeats; each test
+# keeps its own max_examples
+settings.register_profile("repeatable", derandomize=True, deadline=None)
+settings.load_profile("repeatable")
 
 
 def iid_config(m=16, ma=4, mb=4, snr_db=0.0, na=2, nb=2, seed=0) -> SystemConfig:

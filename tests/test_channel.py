@@ -1,5 +1,7 @@
 """Simulator tests: correlation models, derived constants, pilot tensors, reshapes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,56 @@ def replay(cfg, link, n, seed):
     p = pilots_for_link(cfg, link)
     noise = np.sqrt(cfg.sigma_u_sq) * rng.standard_normal((n, p, cfg.m))
     return x, noise
+
+
+def reference_simulate(cfg, link, n, seed):
+    """The simulator as first written: an (n, P, M) sum of channel and noise, then a
+    transposing copy to (n, Ma, Mb, P).  simulate_batch must reproduce it bit for bit."""
+    x, noise = replay(cfg, link, n, seed)
+    samples = x[:, None, :] + noise
+    y = np.ascontiguousarray(np.moveaxis(vec_to_mat(samples, cfg.ma, cfg.mb), 1, -1))
+    return y, vec_to_mat(x, cfg.ma, cfg.mb)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        link=st.sampled_from(["direct", "composite"]),
+        n=st.integers(1, 40),
+        ma=st.integers(1, 6),
+        mb=st.integers(1, 6),
+        p=st.integers(1, 9),
+        rho=st.floats(0.0, 0.95),
+        snr_db=st.floats(-20.0, 30.0) | st.just(float("inf")),
+        zeta_db=st.floats(-30.0, 10.0) | st.just(float("-inf")),
+        f=st.floats(0.1, 3.0),
+    )
+    def test_bits_equal_the_reference(self, seed, link, n, ma, mb, p, rho, snr_db, zeta_db, f):
+        m = ma * mb
+        corr = CorrelationSpec("exponential", rho, m)
+        cfg = SystemConfig(
+            m=m, ma=ma, mb=mb, snr_db=snr_db, zeta_db=zeta_db, f=f, corr_h=corr, corr_g=corr, na=p, nb=p
+        )
+        y, x = simulate_batch(cfg, link, n, np.random.default_rng(seed))
+        y_ref, x_ref = reference_simulate(cfg, link, n, seed)
+        assert y.shape == y_ref.shape and x.shape == x_ref.shape
+        assert np.array_equal(y.view(np.uint64), y_ref.view(np.uint64))
+        assert np.array_equal(x.view(np.uint64), x_ref.view(np.uint64))
+        assert y.flags.c_contiguous and x.flags.c_contiguous
+        assert not np.shares_memory(y, x)
+
+    @pytest.mark.parametrize("link", ["direct", "composite"])
+    def test_peak_memory_is_bounded(self, link):
+        # the output plus one noise-sized and one channel-sized working array; the former
+        # scaled-noise copy, (n, P, M) sum and transposing copy each broke this bound
+        tracemalloc.start()
+        try:
+            y, x = simulate_batch(SystemConfig(), link, 20_000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * y.nbytes + 2 * x.nbytes + 2**20
 
 
 class TestRealization:

@@ -25,6 +25,7 @@ from ambcest import (
     simulate_batch,
 )
 from ambcest.channel import CorrelationSpec, widen_pilots
+from ambcest.estimators import PAIRWISE_MIN_PILOTS
 from conftest import iid_config
 
 
@@ -44,6 +45,58 @@ class TestLsEstimate:
     def test_wrong_rank_rejected(self):
         with pytest.raises(ShapeError):
             ls_estimate(np.zeros((4, 4)))
+
+    def test_empty_pilot_axis_rejected(self):
+        with pytest.raises(ShapeError):
+            ls_estimate(np.zeros((3, 4, 4, 0)))
+
+    def test_threshold_is_where_in_order_sums_stop_matching(self):
+        # below PAIRWISE_MIN_PILOTS the property test below shows in-order slice sums give
+        # y.mean's bits; at it, numpy's pairwise reduction already differs on this draw
+        y = np.random.default_rng(3).standard_normal((500, 4, 4, PAIRWISE_MIN_PILOTS))
+        in_order = y[..., 0] + 0.0
+        for i in range(1, y.shape[-1]):
+            in_order += y[..., i]
+        in_order /= y.shape[-1]
+        assert not np.array_equal(in_order, y.mean(axis=-1))
+
+
+def _layout(base: np.ndarray, layout: str) -> np.ndarray:
+    """The same values as `base` (pilot axis last) in another memory layout."""
+    if layout == "c":
+        return base
+    if layout == "pilot_outer":  # pilot axis outermost in memory
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(base, -1, 0)), 0, -1)
+    if layout == "strided":  # every other row of a larger array: pilot axis innermost, not C-contiguous
+        wide = np.zeros(base.shape[:-3] + (2 * base.shape[-3],) + base.shape[-2:], base.dtype)
+        wide[..., ::2, :, :] = base
+        return wide[..., ::2, :, :]
+    return base.astype(np.float32)
+
+
+class TestLsProperties:
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 16),
+        batch=st.sampled_from([(), (1,), (5,), (37,)]),
+        ma=st.integers(1, 5),
+        mb=st.integers(1, 5),
+        log_scale=st.floats(-30.0, 30.0),
+        zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+        layout=st.sampled_from(["c", "pilot_outer", "strided", "float32"]),
+    )
+    def test_bits_equal_the_pilot_mean(self, seed, p, batch, ma, mb, log_scale, zero_frac, layout):
+        # the reference is the mean over the pilot axis of the float64 input; signed zeros
+        # (zero_frac) check that the sum starts from +0.0 as numpy's reduction does
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal(batch + (ma, mb, p)) * 10.0**log_scale
+        base[rng.random(base.shape) < zero_frac] = -0.0
+        y = _layout(base, layout)
+        want = np.asarray(y, dtype=np.float64).mean(axis=-1).reshape(*batch, -1)
+        got = ls_estimate(y)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_monte_carlo_risk_matches_sigma_over_p(self):
         cfg = iid_config(snr_db=0.0)  # sigma_u^2 = 1, P = 2
@@ -231,6 +284,21 @@ class TestNmse:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             nmse(np.zeros((4, 2)), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimates_rejected(self, rng, bad):
+        truth = rng.standard_normal((30, 4))
+        est = truth.copy()
+        est[[3, 17], 1] = bad
+        with pytest.raises(NumericError, match="2 of 30 trials"):
+            nmse(truth, est)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf / inf
+    def test_non_finite_truth_rejected(self, rng):
+        truth = rng.standard_normal((30, 4))
+        truth[5, 0] = np.inf
+        with pytest.raises(NumericError, match="1 of 30 trials"):
+            nmse(truth, np.zeros((30, 4)))
 
     def test_to_db(self):
         assert NmseEstimate(value=0.1, ci_half_width=0.0, trials=10).to_db() == pytest.approx(-10.0)

@@ -196,6 +196,11 @@ class TestCsvOutput:
         with pytest.raises(ParameterError):
             ReportRow("direct", "ls", 0.0, 2, -0.1, 0.0, 100)
 
+    def test_nan_nmse_rejected(self):
+        # NaN < 0 is False, so a `< 0` check alone would write a nan row to the CSV
+        with pytest.raises(ParameterError):
+            ReportRow("direct", "ls", 0.0, 2, float("nan"), 0.0, 100)
+
 
 class TestComplexity:
     def test_reference_counts_are_exact(self):
