@@ -194,8 +194,8 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("link", ["direct", "composite"])
     def test_peak_memory_is_bounded(self, link):
-        # the output plus one noise-sized and one channel-sized working array; the former
-        # scaled-noise copy, (n, P, M) sum and transposing copy each broke this bound
+        # room for y, x, the (n, P, M) noise draw and one more channel-sized draw: no other
+        # full-size temporary (a scaled-noise copy, an (n, P, M) sum, a transposing copy)
         tracemalloc.start()
         try:
             y, x = simulate_batch(SystemConfig(), link, 20_000, np.random.default_rng(0))

@@ -67,7 +67,7 @@ def _layout(base: np.ndarray, layout: str) -> np.ndarray:
         return base
     if layout == "pilot_outer":  # pilot axis outermost in memory
         return np.moveaxis(np.ascontiguousarray(np.moveaxis(base, -1, 0)), 0, -1)
-    if layout == "strided":  # every other row of a larger array: pilot axis innermost, not C-contiguous
+    if layout == "strided":  # pilot axis innermost, yet not C-contiguous
         wide = np.zeros(base.shape[:-3] + (2 * base.shape[-3],) + base.shape[-2:], base.dtype)
         wide[..., ::2, :, :] = base
         return wide[..., ::2, :, :]
