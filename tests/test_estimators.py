@@ -50,6 +50,12 @@ class TestLsEstimate:
         with pytest.raises(ShapeError):
             ls_estimate(np.zeros((3, 4, 4, 0)))
 
+    def test_monte_carlo_risk_matches_sigma_over_p(self):
+        cfg = iid_config(snr_db=0.0)  # sigma_u^2 = 1, P = 2
+        y, x = simulate_batch(cfg, "direct", 4000, np.random.default_rng(0))
+        score = nmse(x.reshape(4000, -1), ls_estimate(y))
+        assert score.value == pytest.approx(0.5, rel=0.05)
+
     def test_threshold_is_where_in_order_sums_stop_matching(self):
         # below PAIRWISE_MIN_PILOTS the property test below shows in-order slice sums give
         # y.mean's bits; at it, numpy's pairwise reduction already differs on this draw
@@ -97,12 +103,6 @@ class TestLsProperties:
         got = ls_estimate(y)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_monte_carlo_risk_matches_sigma_over_p(self):
-        cfg = iid_config(snr_db=0.0)  # sigma_u^2 = 1, P = 2
-        y, x = simulate_batch(cfg, "direct", 4000, np.random.default_rng(0))
-        score = nmse(x.reshape(4000, -1), ls_estimate(y))
-        assert score.value == pytest.approx(0.5, rel=0.05)
 
 
 class TestMmseGain:
