@@ -1,7 +1,7 @@
 """Linear-theory tooling: extract the effective map of a linearized denoiser, build the
 optimal MMSE weight target, and measure distances between the two.
 
-With batch norm bypassed and the activations set to identity, the whole network is an
+With each block running its convs alone (no batch norm, no ReLU), the whole network is an
 affine map of its input.  Probing it with canonical basis tensors recovers that map
 explicitly; when every output row depends only on the matching input row (true for
 1x1 kernels) the map collapses to a single right-multiplying matrix A with
@@ -101,7 +101,7 @@ def extract_effective_map(model: ResidualDenoiser) -> LinearMap:
     ma, mb, p = hyp.ma, hyp.mb, hyp.pilots
     n_in = ma * mb * p
 
-    offset = model.forward(np.zeros((ma, mb, p)))
+    offset = model.forward(np.zeros((1, ma, mb, p)))[0]
     basis = np.zeros((n_in, ma, mb, p))
     # index i enumerates the widened layout: (row a, pilot-block column p*Mb + b)
     for i in range(n_in):

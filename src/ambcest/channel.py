@@ -221,6 +221,7 @@ def simulate_batch(
         g = sample_gaussian_vector(build_correlation_matrix(cfg.corr_g), rng, size=n)
         g *= alpha * cfg.f
         x += g
+        del g  # one channel-sized array fewer at the peak
     noise = rng.standard_normal((n, p, cfg.m))
     noise *= np.sqrt(sigma_u_sq)
     y = np.empty((n, cfg.m, p))

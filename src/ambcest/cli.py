@@ -65,8 +65,6 @@ def _load_run(args) -> tuple:
     if args.seed is not None:
         cfg = cfg.with_(seed=args.seed)
         opts = replace(opts, seed=args.seed)
-    overrides = {k: getattr(args, k) for k in ("trials", "out") if getattr(args, k, None) is not None}
-    plan = replace(plan, **overrides)
     return cfg, plan, opts
 
 
@@ -131,6 +129,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, plan, opts = _load_run(args)
+    plan = replace(plan, **{k: getattr(args, k) for k in ("trials", "out") if getattr(args, k) is not None})
     hyper = _hyper_from(args, cfg.ma, cfg.mb, pilots_for_link(cfg, LINK_DIRECT))
     report = run_sweep(
         plan,

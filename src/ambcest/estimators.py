@@ -15,6 +15,7 @@ from .errors import MetricError, NumericError, ParameterError, ShapeError
 
 
 PAIRWISE_MIN_PILOTS = 8  # numpy sums >= 8 values pairwise, so an in-order sum loses y.mean's bits
+NMSE_CI_BATCHES = 20  # contiguous trial groups behind nmse's batch-means half-width
 
 
 def ls_estimate(y: np.ndarray) -> np.ndarray:
@@ -209,11 +210,11 @@ class NmseEstimate:
         return 10.0 * np.log10(self.value)
 
 
-def nmse(truth: np.ndarray, estimates: np.ndarray, *, ci_batches: int = 20) -> NmseEstimate:
+def nmse(truth: np.ndarray, estimates: np.ndarray) -> NmseEstimate:
     """Batch NMSE: sum ||x - x_hat||^2 / sum ||x||^2 over the trial axis (axis 0).
 
     The confidence half-width comes from batch means: the trials are split into
-    `ci_batches` contiguous groups, the per-group NMSEs feed a t-interval.  NaN when
+    NMSE_CI_BATCHES contiguous groups, the per-group NMSEs feed a t-interval.  NaN when
     fewer than two groups are available.  A non-finite NMSE (NaN or inf in the truth or
     the estimates, or an overflowing sum) raises NumericError.
     """
@@ -235,7 +236,7 @@ def nmse(truth: np.ndarray, estimates: np.ndarray, *, ci_batches: int = 20) -> N
     if not np.isfinite(value):
         bad = int(np.count_nonzero(~np.isfinite(num + den)))
         raise NumericError(f"NMSE is {value}: {bad} of {n} trials have a non-finite error or truth")
-    b = min(ci_batches, n)
+    b = min(NMSE_CI_BATCHES, n)
     if b < 2:
         return NmseEstimate(value=value, ci_half_width=float("nan"), trials=n)
     num_chunks = np.array_split(num, b)

@@ -1,7 +1,7 @@
 """Dense-tensor NN layers with exact reverse-mode gradients.
 
 All tensors are channels-last numpy arrays, and Conv2D and BatchNorm2D take only a batch
-(N, H, W, C); a single example is promoted once, by ResidualDenoiser.  Each layer caches
+(N, H, W, C), as does ResidualDenoiser, which builds on them.  Each layer caches
 what its backward pass needs on forward; backward consumes the cache of the most recent
 forward.
 
@@ -163,10 +163,10 @@ class BatchNorm2D:
 
     Train mode normalizes with the batch moments (population variance) and updates the
     running stats with `momentum`; eval mode applies the stored running stats, which makes
-    it a deterministic per-channel affine map.  `bypass` turns the layer into an identity
-    (used by the linear-analysis mode).  Forward centres its input once into an array of
-    its own, normalizes that array in place and caches it as xhat; backward builds the
-    input gradient from one scaled copy of grad_out, with per-channel sums in float64.
+    it a deterministic per-channel affine map.  Forward centres its input once into an
+    array of its own, normalizes that array in place and caches it as xhat; backward
+    builds the input gradient from one scaled copy of grad_out, with per-channel sums in
+    float64.
     """
 
     TRAIN = "train"
@@ -189,16 +189,12 @@ class BatchNorm2D:
         self.grad_gamma = np.zeros_like(self.gamma)
         self.grad_beta = np.zeros_like(self.beta)
         self.mode = self.TRAIN
-        self.bypass = False
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_batch(x)
         if x.shape[3] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[3]}")
-        if self.bypass:
-            self._cache = ("bypass", x.dtype)
-            return x
         dt = x.dtype
         out = np.empty_like(x)
         if self.mode == self.TRAIN:
@@ -224,10 +220,6 @@ class BatchNorm2D:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ShapeError("backward called before forward")
-        if self._cache[0] == "bypass":
-            self.grad_gamma = np.zeros_like(self.gamma)
-            self.grad_beta = np.zeros_like(self.beta)
-            return np.asarray(grad_out, dtype=self._cache[1])
         mode, xhat, inv_std = self._cache
         dt = xhat.dtype
         grad_out = np.asarray(grad_out, dtype=dt)
@@ -257,33 +249,24 @@ class BatchNorm2D:
 
 
 class ReLU:
-    """Elementwise max(0, x); subgradient at 0 is 0.  `identity` disables the nonlinearity.
+    """Elementwise max(0, x); subgradient at 0 is 0.
 
     Forward keeps only the boolean mask x > 0, and backward multiplies grad_out by it."""
 
     def __init__(self):
-        self.identity = False
         self._mask = None
         self._dtype = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_compute(x)
-        self._dtype = x.dtype
-        if self.identity:
-            self._mask = None
-            return x
         out = np.maximum(x, 0)
-        self._mask = out > 0
+        self._mask, self._dtype = out > 0, x.dtype
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._dtype is None:
-            raise ShapeError("backward called before forward")
-        grad_out = np.asarray(grad_out, dtype=self._dtype)
-        if self.identity:
-            return grad_out
         if self._mask is None:
             raise ShapeError("backward called before forward")
+        grad_out = np.asarray(grad_out, dtype=self._dtype)
         if grad_out.shape != self._mask.shape:
             raise ShapeError(f"grad_out shape {grad_out.shape} does not match forward input")
         return grad_out * self._mask  # a multiply: about 10x faster than np.where here

@@ -73,14 +73,22 @@ class DenoisingBlock:
             if layer < n_layers:
                 self.bns.append(BatchNorm2D(c_out))
                 self.relus.append(ReLU())
+        self.analysis = False
+
+    def stages(self) -> list[tuple[Conv2D, BatchNorm2D | None, ReLU | None]]:
+        """(conv, bn, relu) per layer in forward order; bn and relu are None after the last
+        conv, and for every layer in analysis mode, where the block is its convs alone."""
+        if self.analysis:
+            return [(conv, None, None) for conv in self.convs]
+        return list(zip(self.convs, [*self.bns, None], [*self.relus, None]))
 
     def forward(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (Y_out, S) with S the predicted residual noise and Y_out = Y - S."""
         s = y
-        for i, conv in enumerate(self.convs):
+        for conv, bn, relu in self.stages():
             s = conv.forward(s)
-            if i < len(self.bns):
-                s = self.relus[i].forward(self.bns[i].forward(s))
+            if bn is not None:
+                s = relu.forward(bn.forward(s))
         if s.shape != y.shape:
             raise ShapeError(f"block produced shape {s.shape}, expected {y.shape}")
         return y - s, s
@@ -89,10 +97,10 @@ class DenoisingBlock:
         # Y_out = Y - S(Y): the subnetwork sees dL/dS = -grad_out, and the input
         # collects both the skip path and the subnetwork path
         g = -grad_out
-        for i in range(len(self.convs) - 1, -1, -1):
-            if i < len(self.bns):
-                g = self.bns[i].backward(self.relus[i].backward(g))
-            g = self.convs[i].backward(g)
+        for conv, bn, relu in reversed(self.stages()):
+            if bn is not None:
+                g = bn.backward(relu.backward(g))
+            g = conv.backward(g)
         return grad_out + g
 
 
@@ -107,7 +115,6 @@ class ResidualDenoiser:
         else:
             self.recon = Dense(hyper.ma * hyper.mb * hyper.pilots, hyper.ma * hyper.mb, rng=rng)
         self.mode: str | None = None
-        self._analysis = False
 
     # -- mode management -------------------------------------------------
 
@@ -127,44 +134,42 @@ class ResidualDenoiser:
 
     @property
     def analysis(self) -> bool:
-        """Linear-analysis mode: batch norm bypassed, ReLU replaced by identity."""
-        return self._analysis
+        """Linear-analysis mode: every block runs its convs alone, without batch norm or ReLU.
+
+        Switching it on zeroes the batch-norm gradients, which no backward then writes,
+        so an optimizer step cannot apply stale ones from earlier normal-mode training."""
+        return all(block.analysis for block in self.blocks)
 
     @analysis.setter
     def analysis(self, flag: bool) -> None:
-        self._analysis = bool(flag)
         for block in self.blocks:
-            for bn in block.bns:
-                bn.bypass = self._analysis
-            for relu in block.relus:
-                relu.identity = self._analysis
+            block.analysis = bool(flag)
+            if flag:
+                for bn in block.bns:
+                    bn.grad_gamma = np.zeros_like(bn.gamma)
+                    bn.grad_beta = np.zeros_like(bn.beta)
 
     # -- forward / backward ----------------------------------------------
 
-    def _check_input(self, y: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _check_input(self, y: np.ndarray) -> np.ndarray:
         if self.mode is None:
             raise StateError("model mode not set: call train_mode() or eval_mode() first")
         y = _as_compute(y)
-        single = y.ndim == 3
-        if single:
-            y = y[None]
         hp = self.hyper
         if y.ndim != 4 or y.shape[1:] != (hp.ma, hp.mb, hp.pilots):
             raise ShapeError(
-                f"input shape {y.shape} does not match geometry "
-                f"({hp.ma}, {hp.mb}, {hp.pilots})"
+                f"expected a batch (n, {hp.ma}, {hp.mb}, {hp.pilots}), got shape {y.shape}"
             )
-        return y, single
+        return y
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        """Run all blocks then the reconstruction layer; (.., Ma, Mb, P) -> (.., Ma, Mb).
+        """Run all blocks then the reconstruction layer; (n, Ma, Mb, P) -> (n, Ma, Mb).
 
         Computes in float32 for a float32 input and in float64 otherwise (see layers)."""
-        y, single = self._check_input(y)
+        y = self._check_input(y)
         for block in self.blocks:
             y, _ = block.forward(y)
-        x_hat = self._recon_forward(y, self.recon)
-        return x_hat[0] if single else x_hat
+        return self._recon_forward(y, self.recon)
 
     def predict(self, y: np.ndarray) -> np.ndarray:
         """Eval-mode output for a batch (n, Ma, Mb, P) -> (n, Ma, Mb), PREDICT_CHUNK at a time.
@@ -179,11 +184,8 @@ class ResidualDenoiser:
         """
         if self.mode != "eval":
             raise StateError("prediction requires eval mode (call eval_mode() first)")
-        if np.ndim(y) != 4:
-            raise ShapeError(f"predict takes a batch (n, Ma, Mb, P), got shape {np.shape(y)}")
-        y, _ = self._check_input(y)
-        blocks = [[(_float32(_fold(conv, bn)), relu)
-                   for conv, bn, relu in zip(b.convs, b.bns + [None], b.relus + [None])]
+        y = self._check_input(y)
+        blocks = [[(_float32(_fold(conv, bn)), relu) for conv, bn, relu in b.stages()]
                   for b in self.blocks]
         recon = copy.copy(self.recon)
         out = np.empty((y.shape[0], self.hyper.ma, self.hyper.mb))
@@ -194,7 +196,7 @@ class ResidualDenoiser:
                 for conv, relu in layers:
                     s = conv.forward(s)
                     conv._x_pad = None  # a folded copy never runs backward
-                    if relu is not None and not relu.identity:
+                    if relu is not None:
                         np.maximum(s, 0, out=s)
                 chunk = chunk - s
             out[lo : lo + PREDICT_CHUNK] = self._recon_forward(chunk, recon)
@@ -208,12 +210,9 @@ class ResidualDenoiser:
         return flat.reshape(y.shape[0], hp.ma, hp.mb)
 
     def backward(self, grad_xhat: np.ndarray) -> np.ndarray:
-        """Reverse-mode pass; takes d loss / d X_hat, returns d loss / d input in the dtype
-        of the forward it follows."""
+        """Reverse-mode pass; takes d loss / d X_hat (n, Ma, Mb), returns d loss / d input in
+        the dtype of the forward it follows."""
         grad_xhat = _as_compute(grad_xhat)
-        single = grad_xhat.ndim == 2
-        if single:
-            grad_xhat = grad_xhat[None]
         hp = self.hyper
         if hp.recon == RECON_CONV1X1:
             g = self.recon.backward(grad_xhat[..., None])
@@ -222,7 +221,7 @@ class ResidualDenoiser:
             g = g.reshape(grad_xhat.shape[0], hp.ma, hp.mb, hp.pilots)
         for block in reversed(self.blocks):
             g = block.backward(g)
-        return g[0] if single else g
+        return g
 
     # -- parameter plumbing ----------------------------------------------
 
@@ -279,9 +278,9 @@ class ResidualDenoiser:
 
 def _fold(conv: Conv2D, bn: BatchNorm2D | None) -> Conv2D:
     """A copy of `conv` computing eval-mode bn(conv(x)): w' = w*s, b' = (b - mean)*s + beta,
-    s = gamma / sqrt(var + eps).  A bypassed or absent bn leaves conv as is."""
+    s = gamma / sqrt(var + eps).  An absent bn leaves conv as is."""
     folded = copy.copy(conv)
-    if bn is not None and not bn.bypass:
+    if bn is not None:
         scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
         folded.w = conv.w * scale[:, None, None, None]
         folded.b = (conv.b - bn.running_mean) * scale + bn.beta

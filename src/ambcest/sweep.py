@@ -9,6 +9,7 @@ gaps.  Rows are emitted in plan order with a stable CSV schema.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -110,16 +111,17 @@ def point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
 def _crld_model(
     cfg: SystemConfig,
     link: str,
+    seed: int,
+    *,
     checkpoint_dir: str,
     train_missing: bool,
-    hyper: DenoiserHyper | None,
-    train_opts: TrainOptions | None,
+    hyper: DenoiserHyper,
+    train_opts: TrainOptions,
     train_k: int,
-    seed: int,
 ) -> ResidualDenoiser:
     p = pilots_for_link(cfg, link)
     path = os.path.join(checkpoint_dir, checkpoint_name(link, cfg.snr_db, p))
-    hyper = replace(hyper or DenoiserHyper(), ma=cfg.ma, mb=cfg.mb, pilots=p)
+    hyper = replace(hyper, ma=cfg.ma, mb=cfg.mb, pilots=p)
     if os.path.exists(path):
         model = load_checkpoint(path)
         if model.hyper != hyper:
@@ -132,8 +134,6 @@ def _crld_model(
         raise ArtifactError(
             f"no trained model at {path}; train one first or pass --train"
         )
-    if train_opts is None:
-        train_opts = TrainOptions()
     ds = generate_dataset(cfg, link, train_k, seed=seed)
     model = build_model(hyper, rng=seed)
     model, _ = train(model, ds, train_opts)
@@ -149,11 +149,7 @@ def _score_point(
     methods: tuple,
     trials: int,
     seed: np.random.SeedSequence,
-    checkpoint_dir: str,
-    train_missing: bool,
-    hyper: DenoiserHyper | None,
-    train_opts: TrainOptions | None,
-    train_k: int,
+    crld_model,
 ) -> list:
     rng = np.random.default_rng(seed)
     p = pilots_for_link(cfg, link)
@@ -161,9 +157,7 @@ def _score_point(
     x_vec = x.reshape(trials, -1)
     if "crld" in methods:
         train_seed = int(seed.generate_state(2, dtype=np.uint32)[1])
-        model = _crld_model(
-            cfg, link, checkpoint_dir, train_missing, hyper, train_opts, train_k, train_seed,
-        )
+        model = crld_model(cfg, link, train_seed)
     if "ls" in methods or "mmse" in methods:
         ls = ls_estimate(y)  # the LS row and MMSE's P-sample mean
     rows = []
@@ -209,13 +203,15 @@ def run_sweep(
     """
     points = [(link, v) for link in plan.links for v in plan.values]
     seeds = np.random.SeedSequence(seed).spawn(len(points))
+    crld_model = partial(
+        _crld_model, checkpoint_dir=checkpoint_dir, train_missing=train_missing,
+        hyper=hyper or DenoiserHyper(), train_opts=train_opts or TrainOptions(), train_k=train_k,
+    )
 
     def job(args):
         (link, value), ss = args
-        return _score_point(
-            point_config(cfg, plan.axis, value), link, plan.methods, plan.trials,
-            ss, checkpoint_dir, train_missing, hyper, train_opts, train_k,
-        )
+        cfg_point = point_config(cfg, plan.axis, value)
+        return _score_point(cfg_point, link, plan.methods, plan.trials, ss, crld_model)
 
     tasks = list(zip(points, seeds))
     if workers > 1:

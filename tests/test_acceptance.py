@@ -301,7 +301,7 @@ def test_09_linear_mode_reaches_the_mmse_map():
         blocks=1, layers_per_block=2, filters=4, ma=2, mb=2, pilots=2, kernel_size=1
     )
     model = build_model(hyper, rng=0)
-    model.analysis = True  # linear mode: batch norm bypassed, activations identity
+    model.analysis = True  # linear mode: each block runs its convs alone
     opts = TrainOptions(batch_size=128, max_epochs=60, patience=10, learning_rate=3e-3, seed=0)
     model, _ = train(model, ds, opts)
 

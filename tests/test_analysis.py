@@ -106,8 +106,8 @@ class TestExtraction:
         model = linearized(ONE_BY_ONE, rng_seed=1)
         model.recon.b[...] = 0.7
         lmap = extract_effective_map(model)
-        assert np.allclose(lmap.offset, model.forward(np.zeros((2, 2, 2))), atol=1e-15)
-        y = rng.standard_normal((2, 2, 2))
+        assert np.allclose(lmap.offset, model.forward(np.zeros((1, 2, 2, 2)))[0], atol=1e-15)
+        y = rng.standard_normal((3, 2, 2, 2))
         assert np.abs(lmap.apply(y) - model.forward(y)).max() < 1e-12
 
 

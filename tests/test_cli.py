@@ -79,6 +79,15 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert "nmse=" in out and "trials=300" in out
 
+    def test_eval_takes_fewer_trials_than_a_sweep_needs(self, tmp_path, config, capsys):
+        # --trials is eval's own count, not the sweep plan's (which must be >= 100)
+        data = gen_small_dataset(tmp_path, config)
+        ckpt = str(tmp_path / "model.ckpt")
+        main(["train", "--config", config, "--data", data, "--out", ckpt] + TINY_NET)
+        capsys.readouterr()
+        assert main(["eval", "--config", config, "--checkpoint", ckpt, "--trials", "50"]) == 0
+        assert "trials=50" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path, config, capsys):

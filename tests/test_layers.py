@@ -53,7 +53,6 @@ class TestConv2D:
         assert np.allclose(conv.forward(x), x, atol=1e-15)
 
     def test_single_example_rejected(self, rng):
-        # only ResidualDenoiser promotes an (H, W, C) example to a batch
         with pytest.raises(ShapeError):
             Conv2D(2, 2, rng=rng).forward(rng.standard_normal((4, 4, 2)))
 
@@ -153,15 +152,6 @@ class TestBatchNorm2D:
         assert np.allclose(out, want, atol=1e-12)
         assert np.array_equal(bn.forward(x), out)  # no state drift in eval mode
 
-    def test_bypass_is_identity(self, rng):
-        bn = BatchNorm2D(2)
-        bn.bypass = True
-        x = rng.standard_normal((3, 4, 4, 2))
-        assert np.array_equal(bn.forward(x), x)
-        g = rng.standard_normal((3, 4, 4, 2))
-        assert np.array_equal(bn.backward(g), g)
-        assert np.all(bn.grad_gamma == 0.0) and np.all(bn.grad_beta == 0.0)
-
     def test_single_element_train_batch_rejected(self):
         with pytest.raises(ParameterError):
             BatchNorm2D(1).forward(np.zeros((1, 1, 1, 1)))
@@ -211,13 +201,6 @@ class TestReLU:
         relu = ReLU()
         relu.forward(np.array([-1.0, 2.0]))
         assert np.array_equal(relu.backward(np.array([5.0, 5.0])), [0.0, 5.0])
-
-    def test_identity_flag_disables_nonlinearity(self, rng):
-        relu = ReLU()
-        relu.identity = True
-        x = rng.standard_normal(10) - 5.0
-        assert np.array_equal(relu.forward(x), x)
-        assert np.array_equal(relu.backward(x), x)
 
     def test_gradient_away_from_kink(self, rng):
         relu = ReLU()
@@ -272,11 +255,10 @@ class TestComputeDtype:
         assert_float64_gradients(conv)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("mode", [BatchNorm2D.TRAIN, BatchNorm2D.EVAL, "bypass"])
+    @pytest.mark.parametrize("mode", [BatchNorm2D.TRAIN, BatchNorm2D.EVAL])
     def test_batch_norm(self, mode, dtype, rng):
         bn = BatchNorm2D(2)
-        bn.bypass = mode == "bypass"
-        bn.mode = BatchNorm2D.EVAL if mode == BatchNorm2D.EVAL else BatchNorm2D.TRAIN
+        bn.mode = mode
         out = bn.forward(rng.standard_normal((3, 4, 4, 2)).astype(dtype))
         assert out.dtype == dtype
         assert bn.backward(np.ones_like(out)).dtype == dtype
@@ -284,10 +266,8 @@ class TestComputeDtype:
         assert_float64_gradients(bn)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("identity", [False, True])
-    def test_relu(self, identity, dtype, rng):
+    def test_relu(self, dtype, rng):
         relu = ReLU()
-        relu.identity = identity
         out = relu.forward(rng.standard_normal((2, 3)).astype(dtype))
         assert out.dtype == dtype
         assert relu.backward(np.ones_like(out)).dtype == dtype
@@ -393,8 +373,7 @@ def seeded_batch_norm(rng, channels, mode):
     bn.beta[...] = rng.standard_normal(channels)
     bn.running_mean[...] = rng.standard_normal(channels)
     bn.running_var[...] = rng.uniform(0.5, 2.0, channels)
-    bn.mode = BatchNorm2D.EVAL if mode == BatchNorm2D.EVAL else BatchNorm2D.TRAIN
-    bn.bypass = mode == "bypass"
+    bn.mode = mode
     return bn
 
 
@@ -418,17 +397,13 @@ class TestAgainstReference:
         assert_matches_reference(conv.grad_b, grad_b, dtype)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("mode", [BatchNorm2D.TRAIN, BatchNorm2D.EVAL, "bypass"])
+    @pytest.mark.parametrize("mode", [BatchNorm2D.TRAIN, BatchNorm2D.EVAL])
     def test_batch_norm(self, mode, dtype, rng):
         bn = seeded_batch_norm(rng, 4, mode)
         x = (3.0 * rng.standard_normal((5, 6, 7, 4)) + 1.0).astype(dtype)
         g = rng.standard_normal((5, 6, 7, 4)).astype(dtype)
-        if mode == "bypass":
-            out, running = x, (bn.running_mean.copy(), bn.running_var.copy())
-            grad_in, grad_gamma, grad_beta = g, np.zeros(4), np.zeros(4)
-        else:
-            out, running, backward = ref_batch_norm(x.astype(np.float64), bn, mode)
-            grad_in, grad_gamma, grad_beta = backward(g.astype(np.float64))
+        out, running, backward = ref_batch_norm(x.astype(np.float64), bn, mode)
+        grad_in, grad_gamma, grad_beta = backward(g.astype(np.float64))
         assert_matches_reference(bn.forward(x), out, dtype)
         assert_matches_reference(bn.running_mean, running[0], dtype)
         assert_matches_reference(bn.running_var, running[1], dtype)
@@ -445,14 +420,12 @@ class TestAgainstReference:
         assert np.array_equal(bn.running_var, running[1])
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("identity", [False, True])
-    def test_relu(self, identity, dtype, rng):
+    def test_relu(self, dtype, rng):
         relu = ReLU()
-        relu.identity = identity
         x = rng.standard_normal((3, 4, 4, 2)).astype(dtype)
         x[0, 0, 0] = 0.0
         g = rng.standard_normal((3, 4, 4, 2)).astype(dtype)
-        out, backward = (x, lambda grad: grad) if identity else ref_relu(x)
+        out, backward = ref_relu(x)
         assert np.array_equal(relu.forward(x), out)
         assert np.array_equal(relu.backward(g), backward(g))
 
@@ -467,7 +440,7 @@ def _layer_under_test(kind, channels, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["conv1", "conv3", "bn-train", "bn-eval", "bn-bypass", "relu"]),
+    kind=st.sampled_from(["conv1", "conv3", "bn-train", "bn-eval", "relu"]),
     shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
     dtype=st.sampled_from(DTYPES),
     seed=st.integers(0, 2**32 - 1),

@@ -109,21 +109,24 @@ class TestForward:
     def test_requires_mode(self, rng):
         model = build_model(TINY, rng=0)
         with pytest.raises(StateError):
-            model.forward(rng.standard_normal((4, 4, 2)))
+            model.forward(rng.standard_normal((1, 4, 4, 2)))
 
     def test_shapes_batch_and_single(self, rng):
+        # a single example is a batch of one
         model = build_model(TINY, rng=0).eval_mode()
         assert model.forward(rng.standard_normal((5, 4, 4, 2))).shape == (5, 4, 4)
-        assert model.forward(rng.standard_normal((4, 4, 2))).shape == (4, 4)
+        assert model.forward(rng.standard_normal((1, 4, 4, 2))).shape == (1, 4, 4)
 
-    def test_single_example_is_a_batch_of_one(self, rng):
-        # the model is the one place that promotes (Ma, Mb, P); the layers take batches only
-        model = build_model(TINY, rng=0).eval_mode()
-        y = rng.standard_normal((3, 4, 4, 2))
-        assert np.array_equal(model.forward(y[0]), model.forward(y[:1])[0])
-        g = rng.standard_normal((4, 4))
-        single = model.backward(g)
-        assert np.array_equal(single, model.backward(g[None])[0])
+    @pytest.mark.parametrize("recon", ["conv1x1", "dense"])
+    def test_single_example_rejected(self, recon, rng):
+        # the model takes batches only, like its layers and predict
+        hp = DenoiserHyper(blocks=1, layers_per_block=2, filters=2, ma=4, mb=4, pilots=2, recon=recon)
+        model = build_model(hp, rng=0).eval_mode()
+        with pytest.raises(ShapeError):
+            model.forward(rng.standard_normal((4, 4, 2)))
+        model.forward(rng.standard_normal((3, 4, 4, 2)))
+        with pytest.raises(ShapeError):
+            model.backward(rng.standard_normal((4, 4)))
 
     def test_geometry_mismatch_rejected(self, rng):
         model = build_model(TINY, rng=0).eval_mode()
@@ -150,15 +153,15 @@ class TestForward:
         y = rng.standard_normal((37, 4, 4, 2))
         assert_predict_close(model.predict(y), model.forward(y))
 
-    @pytest.mark.parametrize("bypass", [False, True])
-    def test_fold_matches_conv_then_eval_batch_norm(self, bypass, rng):
-        # the fold algebra in float64, layer by layer: folded conv == eval bn(conv(x))
+    @pytest.mark.parametrize("analysis", [False, True])
+    def test_fold_matches_conv_then_eval_batch_norm(self, analysis, rng):
+        # the fold algebra in float64, stage by stage: folded conv == eval bn(conv(x)), or
+        # conv(x) where a stage has no bn (the last one, and all of them in analysis mode)
         model = seed_batch_norms(build_model(C7, rng=1), rng)
+        model.analysis = analysis
         x = rng.standard_normal((5, 8, 8, 2))
         for block in model.blocks:
-            for conv, bn in zip(block.convs, block.bns + [None]):
-                if bn is not None:
-                    bn.bypass = bypass
+            for conv, bn, _ in block.stages():
                 want = conv.forward(x) if bn is None else bn.forward(conv.forward(x))
                 got = _fold(conv, bn).forward(x)
                 assert got.dtype == np.float64
@@ -252,15 +255,65 @@ class TestForward:
         )
 
 
-class TestComputeDtype:
-    @pytest.mark.parametrize("single", [False, True])
+class TestAnalysisMode:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("recon", ["conv1x1", "dense"])
-    def test_forward_and_backward_follow_the_input(self, recon, dtype, single, rng):
+    def test_blocks_are_their_convs_alone(self, recon, dtype, rng):
+        # moved running stats, random gamma/beta and the BN gradients of a normal-mode
+        # backward before the switch: analysis mode ignores the first two, zeroes the third
+        hp = DenoiserHyper(blocks=2, layers_per_block=3, filters=4, ma=4, mb=4, pilots=2, recon=recon)
+        model = seed_batch_norms(build_model(hp, rng=5), rng).train_mode()
+        model.forward(rng.standard_normal((6, 4, 4, 2)))
+        model.backward(rng.standard_normal((6, 4, 4)))
+        bns = [bn for block in model.blocks for bn in block.bns]
+        assert all(np.any(bn.grad_gamma != 0.0) and np.any(bn.grad_beta != 0.0) for bn in bns)
+        stats = {k: v.copy() for k, v in model.named_running_stats().items()}
+        ref = model.clone()
+        model.analysis = True
+        assert model.analysis
+        y = rng.standard_normal((5, 4, 4, 2)).astype(dtype)
+        g = rng.standard_normal((5, 4, 4)).astype(dtype)
+        out = model.forward(y)  # train mode: a batch norm that ran would move its stats
+        grad_in = model.backward(g)
+
+        # the conv-only residual chain, by hand, on the clone's layers
+        h = y
+        for block in ref.blocks:
+            s = h
+            for conv in block.convs:
+                s = conv.forward(s)
+            h = h - s
+        want = ref._recon_forward(h, ref.recon)
+        if recon == "conv1x1":
+            gh = ref.recon.backward(g[..., None])
+        else:
+            gh = ref.recon.backward(g.reshape(5, -1)).reshape(5, 4, 4, 2)
+        for block in reversed(ref.blocks):
+            gs = -gh
+            for conv in reversed(block.convs):
+                gs = conv.backward(gs)
+            gh = gh + gs
+        assert out.dtype == dtype and np.array_equal(out, want)
+        assert grad_in.dtype == dtype and np.array_equal(grad_in, gh)
+        got, ref_grads = model.named_gradients(), ref.named_gradients()
+        for name, grad in got.items():
+            if ".bn" in name:
+                assert np.all(grad == 0.0), name
+            else:
+                assert np.array_equal(grad, ref_grads[name]), name
+        assert all(np.array_equal(v, stats[k]) for k, v in model.named_running_stats().items())
+
+
+class TestComputeDtype:
+    @pytest.mark.parametrize("analysis", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("recon", ["conv1x1", "dense"])
+    def test_forward_and_backward_follow_the_input(self, recon, dtype, analysis, rng):
         hp = DenoiserHyper(blocks=1, layers_per_block=3, filters=4, ma=4, mb=4, pilots=2, recon=recon)
         model = build_model(hp, rng=0).train_mode()
+        model.analysis = analysis
         y = rng.standard_normal((3, 4, 4, 2)).astype(dtype)
-        out = model.forward(y[0] if single else y)
+        out = model.forward(y)
         assert out.dtype == dtype
         assert model.backward(np.ones_like(out)).dtype == dtype
         arrays = {**model.named_parameters(), **model.named_gradients(), **model.named_running_stats()}
