@@ -9,7 +9,8 @@ Pilot samples are reshaped row-major from M-vectors to Ma x Mb matrices and stac
 trailing pilot axis, giving the Ma x Mb x P observation tensors consumed by the denoiser.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,30 +28,26 @@ class CorrelationSpec:
     """Family of antenna correlation matrices: identity or exponential rho^|i-j|."""
 
     model: str = "exponential"
-    rho: float = 0.0
-    dim: int = 1
+    rho: float = 0.9
 
     def __post_init__(self):
         if self.model not in CORR_MODELS:
             raise ParameterError(f"correlation model must be one of {CORR_MODELS}, got {self.model!r}")
         if not (0.0 <= self.rho < 1.0):
             raise ParameterError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.dim < 1:
-            raise ParameterError(f"dim must be a positive integer, got {self.dim}")
 
 
-DEFAULT_CORR = CorrelationSpec("exponential", 0.9)  # both links when a SystemConfig names none; dim follows m
-
-
-def build_correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
-    """Return the dim x dim correlation matrix for `spec`.
+def build_correlation_matrix(spec: CorrelationSpec, m: int) -> np.ndarray:
+    """Return the m x m correlation matrix for `spec`.
 
     Exponential model: R[i, j] = rho^|i-j| (unit diagonal, symmetric PD for rho in [0, 1)).
     Identity model: I regardless of rho.
     """
+    if m < 1:
+        raise ParameterError(f"matrix size m must be a positive integer, got {m}")
     if spec.model == "identity" or spec.rho == 0.0:
-        return np.eye(spec.dim)
-    lags = np.abs(np.subtract.outer(np.arange(spec.dim), np.arange(spec.dim)))
+        return np.eye(m)
+    lags = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
     return spec.rho ** lags
 
 
@@ -88,34 +85,24 @@ class SystemConfig:
     snr_db: float = -6.0
     zeta_db: float = -5.0
     f: float = 1.0
-    corr_h: CorrelationSpec = field(default=None)  # type: ignore[assignment]
-    corr_g: CorrelationSpec = field(default=None)  # type: ignore[assignment]
+    corr_h: CorrelationSpec = CorrelationSpec()
+    corr_g: CorrelationSpec = CorrelationSpec()
     na: int = 2
     nb: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.corr_h is None:
-            object.__setattr__(self, "corr_h", replace(DEFAULT_CORR, dim=self.m))
-        if self.corr_g is None:
-            object.__setattr__(self, "corr_g", replace(DEFAULT_CORR, dim=self.m))
         if self.m < 1 or self.ma < 1 or self.mb < 1:
             raise ParameterError("antenna counts must be positive")
         if self.ma * self.mb != self.m:
             raise ParameterError(f"ma*mb must equal m: {self.ma}*{self.mb} != {self.m}")
         if self.na < 1 or self.nb < 1:
             raise ParameterError("pilot counts na, nb must be >= 1")
-        if self.corr_h.dim != self.m or self.corr_g.dim != self.m:
-            raise ParameterError("correlation spec dim must equal m")
         # fail fast on an inconsistent operating point
         derive_noise_and_alpha(self)
 
     def with_(self, **kwargs) -> "SystemConfig":
-        """Copy with selected fields replaced (correlation dims follow m)."""
-        if "m" in kwargs and "corr_h" not in kwargs:
-            kwargs["corr_h"] = replace(self.corr_h, dim=kwargs["m"])
-        if "m" in kwargs and "corr_g" not in kwargs:
-            kwargs["corr_g"] = replace(self.corr_g, dim=kwargs["m"])
+        """Copy with selected fields replaced."""
         return replace(self, **kwargs)
 
     @property
@@ -135,10 +122,10 @@ def derive_noise_and_alpha(cfg: SystemConfig) -> tuple[float, float]:
     sigma_u^2 = trace(R_h) / (M * 10^(snr_db/10))
     alpha     = sqrt(10^(zeta_db/10) * trace(R_h) / (f^2 * trace(R_g)))
 
-    Both correlation models have a unit diagonal, so each trace is the spec's dim.
+    Both correlation models have a unit diagonal, so each trace is M.
     """
-    tr_h = float(cfg.corr_h.dim)
-    tr_g = float(cfg.corr_g.dim)
+    tr_h = float(cfg.m)
+    tr_g = float(cfg.m)
     # snr_db = +inf is a legal noiseless operating point; snr_db = -inf is not
     if cfg.snr_db == float("-inf"):
         raise ParameterError("snr_db = -inf gives an infinite noise power")
@@ -152,6 +139,8 @@ def derive_noise_and_alpha(cfg: SystemConfig) -> tuple[float, float]:
         alpha = float(np.sqrt(zeta * tr_h / (cfg.f**2 * tr_g)))
     if not np.isfinite(sigma_u_sq) or sigma_u_sq < 0:
         raise ParameterError(f"derived sigma_u^2 must be finite and >= 0, got {sigma_u_sq}")
+    if not math.isfinite(alpha * cfg.f):  # zeta_db = nan or +inf, or f = nan or +/-inf
+        raise ParameterError(f"derived alpha*f must be finite, got zeta_db={cfg.zeta_db}, f={cfg.f}")
     return sigma_u_sq, alpha
 
 
@@ -180,15 +169,15 @@ def widen_pilots(data: np.ndarray) -> np.ndarray:
 def composite_correlation(cfg: SystemConfig) -> np.ndarray:
     """Correlation matrix of the composite link: R_w = R_h + alpha^2 f^2 R_g."""
     _, alpha = derive_noise_and_alpha(cfg)
-    R_h = build_correlation_matrix(cfg.corr_h)
-    R_g = build_correlation_matrix(cfg.corr_g)
+    R_h = build_correlation_matrix(cfg.corr_h, cfg.m)
+    R_g = build_correlation_matrix(cfg.corr_g, cfg.m)
     return R_h + (alpha * cfg.f) ** 2 * R_g
 
 
 def link_correlation(cfg: SystemConfig, link: str) -> np.ndarray:
     """True correlation matrix of the estimated channel on the given link."""
     if link == LINK_DIRECT:
-        return build_correlation_matrix(cfg.corr_h)
+        return build_correlation_matrix(cfg.corr_h, cfg.m)
     if link == LINK_COMPOSITE:
         return composite_correlation(cfg)
     raise ParameterError(f"link must be one of {LINKS}, got {link!r}")
@@ -216,9 +205,9 @@ def simulate_batch(
         raise ParameterError(f"batch size must be >= 1, got {n}")
     sigma_u_sq, alpha = derive_noise_and_alpha(cfg)
     p = pilots_for_link(cfg, link)
-    x = sample_gaussian_vector(build_correlation_matrix(cfg.corr_h), rng, size=n)
+    x = sample_gaussian_vector(build_correlation_matrix(cfg.corr_h, cfg.m), rng, size=n)
     if link == LINK_COMPOSITE:
-        g = sample_gaussian_vector(build_correlation_matrix(cfg.corr_g), rng, size=n)
+        g = sample_gaussian_vector(build_correlation_matrix(cfg.corr_g, cfg.m), rng, size=n)
         g *= alpha * cfg.f
         x += g
         del g  # one channel-sized array fewer at the peak

@@ -17,7 +17,7 @@ import numpy as np
 
 from .artifact import read_artifact, write_artifact
 from .errors import FormatError, ParameterError
-from .model import RECON_CONV1X1, RECON_DENSE, DenoiserHyper, ResidualDenoiser, build_model
+from .model import RECON_CONV1X1, RECON_DENSE, DenoiserHyper, ResidualDenoiser
 
 MAGIC = b"CRLD"
 VERSION = 1
@@ -66,7 +66,7 @@ def load_checkpoint(path: str | Path) -> ResidualDenoiser:
         )
     except ParameterError as exc:
         raise FormatError(f"checkpoint {path} has an invalid header: {exc}") from exc
-    model = build_model(hyper, rng=0)  # placeholder init, overwritten below
+    model = ResidualDenoiser(hyper, rng=None)  # zero-initialized slots, filled below
     slots = dict(model.named_parameters())
     slots.update(model.named_running_stats())
     n_floats = sum(arr.size for arr in slots.values())

@@ -148,7 +148,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg, plan, _ = _load_run(args)
+    cfg, _, _ = _load_run(args)
     if not os.path.exists(args.checkpoint):
         raise ArtifactError(f"checkpoint not found: {args.checkpoint}")
     model = load_checkpoint(args.checkpoint)
@@ -165,7 +165,7 @@ def cmd_analyze(args) -> int:
         target = target.as_full()
     dist = map_distance(
         learned, target, cfg, args.link,
-        trials=max(plan.trials, 2000), rng=np.random.default_rng(cfg.seed),
+        trials=10_000, rng=np.random.default_rng(cfg.seed),  # fixed: no sweep key steers it
     )
     print(f"regime: {learned.regime}")
     print(f"relative Frobenius distance to optimal weights: {dist.frobenius_rel:.6g}")

@@ -6,9 +6,8 @@ all defaults.  `dump_config` emits a file that parses back to identical structur
 """
 
 import math
-from dataclasses import replace
 
-from .channel import DEFAULT_CORR, SystemConfig
+from .channel import CorrelationSpec, SystemConfig
 from .errors import ConfigError, ParameterError, ShapeError
 from .sweep import ExperimentPlan
 from .training import TrainOptions
@@ -80,10 +79,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> tuple:
                 f"{origin}: bad value for {key!r}: {exc}", key=key, line=lineno
             ) from exc
 
-    system = sections["system"]
     try:
-        spec = replace(DEFAULT_CORR, dim=system.get("m", SystemConfig.m), **sections["corr"])
-        cfg = SystemConfig(corr_h=spec, corr_g=spec, **system)
+        spec = CorrelationSpec(**sections["corr"])
+        cfg = SystemConfig(corr_h=spec, corr_g=spec, **sections["system"])
         plan = ExperimentPlan(**sections["plan"])
         opts = TrainOptions(**sections["train"])
     except (ParameterError, ShapeError) as exc:

@@ -143,8 +143,8 @@ def load_dataset(path: str) -> Dataset:
             snr_db=snr_db,
             zeta_db=zeta_db,
             f=f,
-            corr_h=CorrelationSpec(model=_CORR_NAMES[corr_h_code], rho=rho_h, dim=m),
-            corr_g=CorrelationSpec(model=_CORR_NAMES[corr_g_code], rho=rho_g, dim=m),
+            corr_h=CorrelationSpec(model=_CORR_NAMES[corr_h_code], rho=rho_h),
+            corr_g=CorrelationSpec(model=_CORR_NAMES[corr_g_code], rho=rho_g),
             na=na,
             nb=nb,
             seed=seed,

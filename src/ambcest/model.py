@@ -60,7 +60,7 @@ class DenoiserHyper:
 class DenoisingBlock:
     """L-layer residual-noise subnetwork; maps Ma x Mb x P to itself."""
 
-    def __init__(self, hyper: DenoiserHyper, rng: np.random.Generator):
+    def __init__(self, hyper: DenoiserHyper, rng: np.random.Generator | None):
         p, k, f = hyper.pilots, hyper.kernel_size, hyper.filters
         n_layers = hyper.layers_per_block
         self.convs: list[Conv2D] = []
@@ -107,7 +107,7 @@ class DenoisingBlock:
 class ResidualDenoiser:
     """The assembled network.  Construct via build_model(); set a mode before forward."""
 
-    def __init__(self, hyper: DenoiserHyper, rng: np.random.Generator):
+    def __init__(self, hyper: DenoiserHyper, rng: np.random.Generator | None):
         self.hyper = hyper
         self.blocks = [DenoisingBlock(hyper, rng) for _ in range(hyper.blocks)]
         if hyper.recon == RECON_CONV1X1:

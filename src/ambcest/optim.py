@@ -13,8 +13,8 @@ class SGDMomentum:
     """v <- mu*v - lr*g ; p <- p + v"""
 
     def __init__(self, learning_rate: float = 1e-3, momentum: float = 0.9):
-        if learning_rate <= 0:
-            raise ParameterError("learning_rate must be positive")
+        if not 0.0 < learning_rate < float("inf"):
+            raise ParameterError(f"learning_rate must be finite and positive, got {learning_rate}")
         if not (0.0 <= momentum < 1.0):
             raise ParameterError("momentum must lie in [0, 1)")
         self.learning_rate = learning_rate
@@ -42,8 +42,8 @@ class Adam:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        if learning_rate <= 0:
-            raise ParameterError("learning_rate must be positive")
+        if not 0.0 < learning_rate < float("inf"):
+            raise ParameterError(f"learning_rate must be finite and positive, got {learning_rate}")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ParameterError("betas must lie in [0, 1)")
         self.learning_rate = learning_rate

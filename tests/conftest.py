@@ -21,8 +21,8 @@ def iid_config(m=16, ma=4, mb=4, snr_db=0.0, na=2, nb=2, seed=0) -> SystemConfig
         mb=mb,
         snr_db=snr_db,
         zeta_db=float("-inf"),
-        corr_h=CorrelationSpec("identity", 0.0, m),
-        corr_g=CorrelationSpec("identity", 0.0, m),
+        corr_h=CorrelationSpec("identity", 0.0),
+        corr_g=CorrelationSpec("identity", 0.0),
         na=na,
         nb=nb,
         seed=seed,

@@ -95,7 +95,7 @@ def test_03_vector_mmse_matches_brute_force():
         m = int(rng.integers(2, 9))
         p = int(rng.integers(1, 5))
         rho = float(rng.uniform(0.0, 0.95))
-        R = build_correlation_matrix(CorrelationSpec("exponential", rho, m))
+        R = build_correlation_matrix(CorrelationSpec("exponential", rho), m)
         sigma = float(rng.uniform(0.2, 3.0))
         y = rng.standard_normal((p, m))
         want = brute_force_conditional_mean(y, R, sigma)
@@ -255,7 +255,7 @@ def test_07_trained_denoiser_headline():
 
     y, x = simulate_batch(cfg, "direct", 10_000, np.random.default_rng(7))
     truth = x.reshape(10_000, -1)
-    R = build_correlation_matrix(cfg.corr_h)
+    R = build_correlation_matrix(cfg.corr_h, cfg.m)
     ls_score = nmse(truth, ls_estimate(y))
     mmse_score = nmse(truth, mmse_estimate_vector(ls_estimate(y), R, cfg.sigma_u_sq, 2))
 

@@ -25,42 +25,42 @@ from conftest import iid_config
 
 class TestCorrelation:
     def test_identity_model_gives_eye(self):
-        spec = CorrelationSpec("identity", 0.0, 5)
-        assert np.array_equal(build_correlation_matrix(spec), np.eye(5))
+        spec = CorrelationSpec("identity", 0.0)
+        assert np.array_equal(build_correlation_matrix(spec, 5), np.eye(5))
 
     def test_exponential_entries(self):
-        R = build_correlation_matrix(CorrelationSpec("exponential", 0.5, 4))
+        R = build_correlation_matrix(CorrelationSpec("exponential", 0.5), 4)
         assert R[0, 0] == 1.0
         assert R[0, 1] == 0.5
         assert R[0, 3] == 0.125
         assert np.array_equal(R, R.T)
 
     def test_exponential_is_positive_definite(self):
-        R = build_correlation_matrix(CorrelationSpec("exponential", 0.95, 32))
+        R = build_correlation_matrix(CorrelationSpec("exponential", 0.95), 32)
         np.linalg.cholesky(R)  # raises if not PD
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
     def test_rho_range_enforced(self, bad):
         with pytest.raises(ParameterError):
-            CorrelationSpec("exponential", bad, 4)
+            CorrelationSpec("exponential", bad)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ParameterError):
-            CorrelationSpec("fancy", 0.5, 4)
+            CorrelationSpec("fancy", 0.5)
 
     def test_dim_must_be_positive(self):
         with pytest.raises(ParameterError):
-            CorrelationSpec("identity", 0.0, 0)
+            build_correlation_matrix(CorrelationSpec("identity", 0.0), 0)
 
 
 class TestSampling:
     def test_shapes(self, rng):
-        R = build_correlation_matrix(CorrelationSpec("exponential", 0.8, 6))
+        R = build_correlation_matrix(CorrelationSpec("exponential", 0.8), 6)
         assert sample_gaussian_vector(R, rng).shape == (6,)
         assert sample_gaussian_vector(R, rng, size=10).shape == (10, 6)
 
     def test_covariance_monte_carlo(self, rng):
-        R = build_correlation_matrix(CorrelationSpec("exponential", 0.7, 4))
+        R = build_correlation_matrix(CorrelationSpec("exponential", 0.7), 4)
         draws = sample_gaussian_vector(R, rng, size=40_000)
         emp = draws.T @ draws / draws.shape[0]
         assert np.abs(emp - R).max() < 0.05
@@ -76,10 +76,6 @@ class TestSystemConfig:
         with pytest.raises(ParameterError):
             SystemConfig(m=64, ma=8, mb=9)
 
-    def test_correlation_dim_must_match(self):
-        with pytest.raises(ParameterError):
-            SystemConfig(m=16, ma=4, mb=4, corr_h=CorrelationSpec("identity", 0.0, 8))
-
     def test_derived_noise_iid_snr0(self):
         cfg = iid_config(snr_db=0.0)
         sigma, alpha = derive_noise_and_alpha(cfg)
@@ -92,14 +88,28 @@ class TestSystemConfig:
 
     def test_zeta_definition_holds(self):
         cfg = SystemConfig(zeta_db=-5.0, f=2.0)
-        tr_h = np.trace(build_correlation_matrix(cfg.corr_h))
-        tr_g = np.trace(build_correlation_matrix(cfg.corr_g))
+        tr_h = np.trace(build_correlation_matrix(cfg.corr_h, cfg.m))
+        tr_g = np.trace(build_correlation_matrix(cfg.corr_g, cfg.m))
         zeta = cfg.alpha**2 * cfg.f**2 * tr_g / tr_h
         assert zeta == pytest.approx(10.0 ** (-5.0 / 10.0))
 
     def test_zero_f_with_finite_zeta_rejected(self):
         with pytest.raises(ParameterError):
             SystemConfig(f=0.0, zeta_db=-5.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"zeta_db": float("nan")}, {"zeta_db": float("inf")}, {"f": float("nan")}, {"f": float("inf")}],
+        ids=["zeta_nan", "zeta_inf", "f_nan", "f_inf"],
+    )
+    def test_non_finite_reflection_rejected(self, kwargs):
+        # each would put nan or inf into every composite-link sample (f = inf makes alpha 0)
+        with pytest.raises(ParameterError, match="alpha"):
+            SystemConfig(**kwargs)
+
+    def test_default_specs_are_the_package_defaults(self):
+        assert SystemConfig() == SystemConfig(corr_h=CorrelationSpec(), corr_g=CorrelationSpec())
+        assert (CorrelationSpec().model, CorrelationSpec().rho) == ("exponential", 0.9)
 
     def test_noiseless_point_allowed(self):
         cfg = iid_config(snr_db=float("inf"))
@@ -111,7 +121,8 @@ class TestSystemConfig:
 
     def test_with_updates_correlation_dims(self):
         cfg = SystemConfig().with_(m=16, ma=4, mb=4)
-        assert cfg.corr_h.dim == 16 and cfg.corr_g.dim == 16
+        assert link_correlation(cfg, "direct").shape == (16, 16)
+        assert link_correlation(cfg, "composite").shape == (16, 16)
 
     def test_pilot_counts_positive(self):
         with pytest.raises(ParameterError):
@@ -129,10 +140,10 @@ class TestSystemConfig:
     def test_derived_constants_equal_the_trace_formula(self, m, models, rhos, snr_db, zeta_db, f):
         # both correlation models have a unit diagonal, so the traces are m; the derived
         # constants must equal, bit for bit, the formula over the traces of the full matrices
-        corr = [CorrelationSpec(model, rho, m) for model, rho in zip(models, rhos)]
+        corr = [CorrelationSpec(model, rho) for model, rho in zip(models, rhos)]
         cfg = SystemConfig(m=m, ma=m, mb=1, snr_db=snr_db, zeta_db=zeta_db, f=f, corr_h=corr[0], corr_g=corr[1])
-        tr_h = float(np.trace(build_correlation_matrix(cfg.corr_h)))
-        tr_g = float(np.trace(build_correlation_matrix(cfg.corr_g)))
+        tr_h = float(np.trace(build_correlation_matrix(cfg.corr_h, cfg.m)))
+        tr_g = float(np.trace(build_correlation_matrix(cfg.corr_g, cfg.m)))
         sigma_u_sq = tr_h / (m * 10.0 ** (snr_db / 10.0))
         zeta = 10.0 ** (zeta_db / 10.0)
         alpha = 0.0 if zeta == 0.0 else float(np.sqrt(zeta * tr_h / (f**2 * tr_g)))
@@ -146,9 +157,9 @@ def replay(cfg, link, n, seed):
     Returns the channel vectors (n, M) and the noise (n, P, M).
     """
     rng = np.random.default_rng(seed)
-    x = sample_gaussian_vector(build_correlation_matrix(cfg.corr_h), rng, size=n)
+    x = sample_gaussian_vector(build_correlation_matrix(cfg.corr_h, cfg.m), rng, size=n)
     if link == "composite":
-        g = sample_gaussian_vector(build_correlation_matrix(cfg.corr_g), rng, size=n)
+        g = sample_gaussian_vector(build_correlation_matrix(cfg.corr_g, cfg.m), rng, size=n)
         x = x + cfg.alpha * cfg.f * g
     p = pilots_for_link(cfg, link)
     noise = np.sqrt(cfg.sigma_u_sq) * rng.standard_normal((n, p, cfg.m))
@@ -180,7 +191,7 @@ class TestAgainstReference:
     )
     def test_bits_equal_the_reference(self, seed, link, n, ma, mb, p, rho, snr_db, zeta_db, f):
         m = ma * mb
-        corr = CorrelationSpec("exponential", rho, m)
+        corr = CorrelationSpec("exponential", rho)
         cfg = SystemConfig(
             m=m, ma=ma, mb=mb, snr_db=snr_db, zeta_db=zeta_db, f=f, corr_h=corr, corr_g=corr, na=p, nb=p
         )
@@ -311,15 +322,15 @@ class TestLinkHelpers:
 
     def test_composite_correlation_formula(self):
         cfg = SystemConfig(m=16, ma=4, mb=4, zeta_db=-3.0, f=1.5)
-        R_h = build_correlation_matrix(cfg.corr_h)
-        R_g = build_correlation_matrix(cfg.corr_g)
+        R_h = build_correlation_matrix(cfg.corr_h, cfg.m)
+        R_g = build_correlation_matrix(cfg.corr_g, cfg.m)
         want = R_h + (cfg.alpha * cfg.f) ** 2 * R_g
         assert np.allclose(composite_correlation(cfg), want, atol=1e-12)
 
     def test_link_correlation_direct_is_rh(self):
         cfg = SystemConfig(m=16, ma=4, mb=4)
         assert np.array_equal(
-            link_correlation(cfg, "direct"), build_correlation_matrix(cfg.corr_h)
+            link_correlation(cfg, "direct"), build_correlation_matrix(cfg.corr_h, cfg.m)
         )
 
     def test_composite_with_no_reflection_equals_direct(self):

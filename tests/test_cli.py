@@ -130,6 +130,23 @@ class TestAnalyzeCommand:
         assert "nmse gap" in out
 
 
+    def test_score_ignores_the_sweep_trial_count(self, tmp_path, config, capsys):
+        data = gen_small_dataset(tmp_path, config, k=256)
+        ckpt = str(tmp_path / "model.ckpt")
+        main(
+            ["train", "--config", config, "--data", data, "--out", ckpt,
+             "--kernel-size", "1"] + TINY_NET
+        )
+        swept = tmp_path / "swept.conf"
+        swept.write_text(SMALL_SYSTEM + "trials=5000\n")
+        capsys.readouterr()
+        outs = []
+        for conf in (config, str(swept)):
+            assert main(["analyze", "--config", conf, "--checkpoint", ckpt]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
 class TestComplexityCommand:
     def test_prints_reference_counts(self, capsys):
         assert main(["complexity"]) == 0
@@ -207,6 +224,31 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.ckpt")] + TINY_NET)
         assert code == 4
         assert "epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["zeta_db=nan", "zeta_db=inf", "f=nan", "f=inf"])
+    def test_non_finite_reflection_is_2_and_writes_nothing(self, tmp_path, capsys, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"m=16\nma=4\nmb=4\n{line}\n")
+        out = tmp_path / "data.ambd"
+        code = main(["gen-data", "--config", str(conf), "--link", "composite", "--k", "200",
+                     "--out", str(out)])
+        assert code == 2
+        assert str(conf) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["learning_rate=nan", "learning_rate=inf", "optimizer=foo"])
+    def test_bad_optimizer_setting_is_2_before_training(self, tmp_path, config, capsys, line):
+        data = gen_small_dataset(tmp_path, config)
+        conf = tmp_path / "bad.conf"
+        conf.write_text(SMALL_SYSTEM + FAST_TRAIN + line + "\n")
+        ckpt = tmp_path / "m.ckpt"
+        history = tmp_path / "history.csv"
+        capsys.readouterr()
+        code = main(["train", "--config", str(conf), "--data", data, "--out", str(ckpt),
+                     "--history", str(history)] + TINY_NET)
+        assert code == 2
+        assert str(conf) in capsys.readouterr().err
+        assert not ckpt.exists() and not history.exists()
 
     def test_geometry_mismatch_is_2(self, tmp_path, config, capsys):
         data = gen_small_dataset(tmp_path, config)

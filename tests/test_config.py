@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambcest import ConfigError, CorrelationSpec, SystemConfig, TrainOptions
+from ambcest import ConfigError, CorrelationSpec, SystemConfig, TrainOptions, link_correlation
 from ambcest.config import dump_config, parse_config, parse_config_text
 from ambcest.sweep import ExperimentPlan
 
@@ -48,7 +48,8 @@ class TestParsing:
     def test_partial_files_keep_the_dataclass_defaults(self):
         cfg, _, _ = parse_config_text("m=16\nma=4\nmb=4\n")
         assert cfg == SystemConfig(m=16, ma=4, mb=4)
-        assert cfg.corr_h.dim == cfg.corr_g.dim == 16
+        assert link_correlation(cfg, "direct").shape == (16, 16)
+        assert link_correlation(cfg, "composite").shape == (16, 16)
         cfg, _, _ = parse_config_text("rho=0.5\n")
         assert cfg.corr_h == cfg.corr_g == replace(SystemConfig().corr_h, rho=0.5)
 
@@ -102,6 +103,12 @@ class TestDiagnostics:
         with pytest.raises(ConfigError):
             parse_config_text("axis=sideways\n")
 
+    @pytest.mark.parametrize("line", ["learning_rate=nan", "learning_rate=inf", "optimizer=foo"])
+    def test_bad_optimizer_settings_fail_at_parse(self, line):
+        # caught here rather than inside train(), after an epoch has run
+        with pytest.raises(ConfigError, match="run.cfg"):
+            parse_config_text(line + "\n", origin="run.cfg")
+
 
 class TestDumpRoundTrip:
     def test_defaults_round_trip(self):
@@ -130,8 +137,8 @@ class TestDumpRoundTrip:
 
     def test_differing_link_specs_cannot_be_dumped(self):
         cfg = SystemConfig(
-            corr_h=CorrelationSpec("exponential", 0.9, 64),
-            corr_g=CorrelationSpec("identity", 0.0, 64),
+            corr_h=CorrelationSpec("exponential", 0.9),
+            corr_g=CorrelationSpec("identity", 0.0),
         )
         with pytest.raises(ConfigError):
             dump_config(cfg, ExperimentPlan(), TrainOptions())
@@ -144,9 +151,7 @@ finite = st.floats(-40.0, 40.0, allow_nan=False)
 def run_configs(draw):
     """Random valid (SystemConfig, ExperimentPlan, TrainOptions) triples."""
     ma, mb = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    spec = CorrelationSpec(
-        draw(st.sampled_from(["identity", "exponential"])), draw(st.floats(0.0, 0.99)), ma * mb
-    )
+    spec = CorrelationSpec(draw(st.sampled_from(["identity", "exponential"])), draw(st.floats(0.0, 0.99)))
     cfg = SystemConfig(
         m=ma * mb, ma=ma, mb=mb,
         snr_db=draw(finite | st.just(float("inf"))),

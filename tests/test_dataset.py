@@ -92,8 +92,8 @@ class TestContainerRoundTrip:
     def test_correlation_specs_survive(self, tmp_path):
         cfg = SystemConfig(
             m=16, ma=4, mb=4,
-            corr_h=CorrelationSpec("exponential", 0.85, 16),
-            corr_g=CorrelationSpec("identity", 0.0, 16),
+            corr_h=CorrelationSpec("exponential", 0.85),
+            corr_g=CorrelationSpec("identity", 0.0),
         )
         ds = generate_dataset(cfg, "direct", 4, seed=0)
         path = tmp_path / "data.ambd"

@@ -111,7 +111,7 @@ class TestMmseGain:
         assert np.allclose(G, (2.0 / 3.0) * np.eye(4), atol=1e-12)
 
     def test_noiseless_gain_is_identity(self):
-        R = build_correlation_matrix(CorrelationSpec("exponential", 0.7, 5))
+        R = build_correlation_matrix(CorrelationSpec("exponential", 0.7), 5)
         assert np.allclose(mmse_gain(R, 0.0, 3), np.eye(5), atol=1e-10)
 
     def test_non_pd_prior_rejected(self):
@@ -133,7 +133,7 @@ class TestVectorMmse:
         for trial in range(10):
             m, p = int(rng.integers(2, 8)), int(rng.integers(1, 4))
             rho = float(rng.uniform(0.0, 0.95))
-            R = build_correlation_matrix(CorrelationSpec("exponential", rho, m))
+            R = build_correlation_matrix(CorrelationSpec("exponential", rho), m)
             sigma = float(rng.uniform(0.2, 3.0))
             y = rng.standard_normal((p, m))
             want = brute_force_conditional_mean(y, R, sigma)
@@ -142,12 +142,12 @@ class TestVectorMmse:
 
     def test_beats_ls_on_correlated_channels(self):
         cfg = iid_config(m=16, ma=4, mb=4, snr_db=-6.0).with_(
-            corr_h=CorrelationSpec("exponential", 0.9, 16),
-            corr_g=CorrelationSpec("exponential", 0.9, 16),
+            corr_h=CorrelationSpec("exponential", 0.9),
+            corr_g=CorrelationSpec("exponential", 0.9),
         )
         y, x = simulate_batch(cfg, "direct", 4000, np.random.default_rng(1))
         truth = x.reshape(4000, -1)
-        R = build_correlation_matrix(cfg.corr_h)
+        R = build_correlation_matrix(cfg.corr_h, cfg.m)
         ls_score = nmse(truth, ls_estimate(y))
         mmse_score = nmse(truth, mmse_estimate_vector(ls_estimate(y), R, cfg.sigma_u_sq, 2))
         assert mmse_score.value < ls_score.value
@@ -173,7 +173,7 @@ class TestColumnCorrelation:
         assert np.allclose(column_correlation(R, 3, 2), 3 * C, atol=1e-12)
 
     def test_matches_monte_carlo(self, rng):
-        R = build_correlation_matrix(CorrelationSpec("exponential", 0.8, 6))
+        R = build_correlation_matrix(CorrelationSpec("exponential", 0.8), 6)
         L = np.linalg.cholesky(R)
         draws = rng.standard_normal((50_000, 6)) @ L.T
         X = draws.reshape(-1, 2, 3)

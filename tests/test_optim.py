@@ -38,7 +38,16 @@ class TestSGDMomentum:
         SGDMomentum(learning_rate=0.5, momentum=0.0).step({"p": arr}, {"p": np.array([1.0])})
         assert arr[0] == 0.5
 
-    @pytest.mark.parametrize("kwargs", [{"learning_rate": 0.0}, {"momentum": 1.0}, {"momentum": -0.1}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"learning_rate": 0.0},
+            {"momentum": 1.0},
+            {"momentum": -0.1},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+        ],
+    )
     def test_bad_hyperparameters_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             SGDMomentum(**{"learning_rate": 0.1, **kwargs})
@@ -77,6 +86,11 @@ class TestAdam:
     def test_bad_betas_rejected(self):
         with pytest.raises(ParameterError):
             Adam(betas=(0.9, 1.0))
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ParameterError):
+            Adam(learning_rate=lr)
 
 
 class TestGuards:

@@ -36,6 +36,9 @@ class TestTrainOptions:
             {"patience": 0},
             {"val_fraction": 0.0},
             {"val_fraction": 1.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"optimizer": "foo"},
         ],
     )
     def test_invalid_options_rejected(self, kwargs):
