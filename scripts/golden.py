@@ -8,9 +8,9 @@ a new temporary directory) receives the files.  BLAS runs on one thread, so the 
 results do not depend on the machine's core count.  The pipeline draws a dataset
 (gen-data), trains on it with a per-epoch history (train --history), sweeps LS, MMSE
 and CRLD over two SNR points and both links, training the four CRLD checkpoints
-(sweep --train), and scores two of those checkpoints (eval, one per link; stdout is
-kept as eval_*.txt).  tests/test_golden.py runs the same pipeline through run() and
-checks its files against recorded values.
+(sweep --train), sweeps again reusing those checkpoints (sweep_reuse.csv), and scores
+two of them (eval, one per link; stdout is kept as eval_*.txt).  tests/test_golden.py
+runs the same pipeline through run() and checks its files against recorded values.
 """
 
 import glob
@@ -47,6 +47,8 @@ COMMANDS = (
       "--history", "history.csv", *NET), None),
     (("sweep", "--config", "golden.conf", "--out", "sweep.csv", "--checkpoint-dir", "ck",
       "--train", "--train-k", "3000", *NET), None),
+    (("sweep", "--config", "golden.conf", "--out", "sweep_reuse.csv", "--checkpoint-dir", "ck",
+      *NET), None),
     (("eval", "--config", "golden.conf", "--checkpoint", "ck/crld_direct_snr-4dB_p2.ckpt",
       "--trials", "2000"), "eval_direct.txt"),
     (("eval", "--config", "golden.conf", "--checkpoint", "ck/crld_composite_snr+4dB_p2.ckpt",
@@ -74,7 +76,7 @@ def run(checkout: str, outdir: str) -> list[str]:
             with open(os.path.join(outdir, stdout_name), "w") as out:
                 subprocess.run(cmd, cwd=outdir, env=env, check=True, stdout=out)
     checkpoints = sorted(os.path.relpath(p, outdir) for p in glob.glob(os.path.join(outdir, "ck", "*.ckpt")))
-    return ["data.ambd", "train.ckpt", "history.csv", "sweep.csv", *checkpoints,
+    return ["data.ambd", "train.ckpt", "history.csv", "sweep.csv", "sweep_reuse.csv", *checkpoints,
             "eval_direct.txt", "eval_composite.txt"]
 
 

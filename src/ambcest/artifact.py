@@ -1,9 +1,10 @@
 """Framing shared by the binary artifact files (checkpoints and datasets).
 
-Every artifact is `magic | header | payload | u32 CRC32 of all preceding bytes`.
-Writes go to a temporary file in the target's directory that is then renamed over the
-target, so a crash mid-write leaves the previous file (or none), never a truncated one.
-Reads check the length, the magic and the CRC before any header field is interpreted.
+Every artifact is `magic | u32 version | header | f64 payload | u32 CRC32 of all preceding
+bytes`.  Writes go to a temporary file in the target's directory that is then renamed over
+the target, so a crash mid-write leaves the previous file (or none), never a truncated one.
+Reads check existence, length, magic and CRC before any header field is interpreted, then
+the version and the payload size, so loaders only map header fields to objects.
 """
 
 import contextlib
@@ -13,13 +14,16 @@ import struct
 import zlib
 from pathlib import Path
 
-from .errors import FormatError
+import numpy as np
+
+from .errors import ArtifactError, FormatError
 
 _CRC = struct.Struct("<I")
 
 
-def write_artifact(path: str | Path, chunks: list) -> None:
-    """Write the chunks plus their CRC32 trailer through a same-directory temp file."""
+def write_artifact(path: str | Path, header: bytes, arrays) -> None:
+    """Write the header, each array as little-endian float64 and the CRC32 trailer."""
+    chunks = [header, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)]
     crc = 0
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
@@ -38,13 +42,23 @@ def write_artifact(path: str | Path, chunks: list) -> None:
         raise
 
 
-def read_artifact(path: str | Path, magic: bytes, header_size: int) -> bytes:
-    """Read a whole artifact, rejecting short files, foreign magic and CRC mismatches."""
-    raw = Path(path).read_bytes()
-    if len(raw) < header_size + _CRC.size:
+def read_artifact(path: str | Path, magic: bytes, header: struct.Struct, version: int, what: str) -> tuple:
+    """Read a whole artifact whose `header` opens with its magic and u32 version; returns
+    (the header fields after those two, the float64 payload as a read-only array)."""
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ArtifactError(f"{what} not found: {path}") from None
+    if len(raw) < header.size + _CRC.size:
         raise FormatError(f"{path}: truncated ({len(raw)} bytes is shorter than the header)")
     if raw[: len(magic)] != magic:
         raise FormatError(f"{path}: bad magic {raw[: len(magic)]!r}, expected {magic!r}")
     if zlib.crc32(memoryview(raw)[: -_CRC.size]) != _CRC.unpack_from(raw, len(raw) - _CRC.size)[0]:
         raise FormatError(f"{path}: CRC32 mismatch (corrupted or truncated file)")
-    return raw
+    _, found, *fields = header.unpack_from(raw, 0)
+    if found != version:
+        raise FormatError(f"{path}: unsupported {what} version {found} (supported: {version})")
+    payload = memoryview(raw)[header.size : -_CRC.size]
+    if len(payload) % 8:
+        raise FormatError(f"{path}: payload of {len(payload)} bytes is not whole float64 values")
+    return tuple(fields), np.frombuffer(payload, dtype="<f8")

@@ -42,7 +42,7 @@ def save_checkpoint(model: ResidualDenoiser, path: str | Path) -> None:
         _RECON_CODES[hp.recon],
     )
     arrays = [*model.named_parameters().values(), *model.named_running_stats().values()]
-    write_artifact(path, [header] + [np.ascontiguousarray(a, dtype="<f8") for a in arrays])
+    write_artifact(path, header, arrays)
 
 
 def load_checkpoint(path: str | Path) -> ResidualDenoiser:
@@ -51,12 +51,8 @@ def load_checkpoint(path: str | Path) -> ResidualDenoiser:
     The CRC covers the header, so a corrupted header is reported as a corrupt file
     before any of its fields sizes a model.
     """
-    raw = read_artifact(path, MAGIC, _HEADER.size)
-    _, version, b, l, f, ma, mb, p, k, recon_code = _HEADER.unpack_from(raw, 0)
-    if version != VERSION:
-        raise FormatError(
-            f"unsupported checkpoint version {version} in {path}; supported versions: {VERSION}"
-        )
+    fields, payload = read_artifact(path, MAGIC, _HEADER, VERSION, "checkpoint")
+    b, l, f, ma, mb, p, k, recon_code = fields
     if recon_code not in _RECON_NAMES:
         raise FormatError(f"unknown reconstruction-layer code {recon_code} in {path}")
     try:
@@ -67,17 +63,12 @@ def load_checkpoint(path: str | Path) -> ResidualDenoiser:
     except ParameterError as exc:
         raise FormatError(f"checkpoint {path} has an invalid header: {exc}") from exc
     model = ResidualDenoiser(hyper, rng=None)  # zero-initialized slots, filled below
-    slots = dict(model.named_parameters())
-    slots.update(model.named_running_stats())
-    n_floats = sum(arr.size for arr in slots.values())
-    expected = _HEADER.size + 8 * n_floats + 4
-    if len(raw) != expected:
+    slots = {**model.named_parameters(), **model.named_running_stats()}
+    sizes = [arr.size for arr in slots.values()]
+    if payload.size != sum(sizes):
         raise FormatError(
-            f"checkpoint {path} has {len(raw)} bytes, expected {expected} for this header"
+            f"checkpoint {path} holds {payload.size} floats, expected {sum(sizes)} for this header"
         )
-    flat = np.frombuffer(raw, dtype="<f8", count=n_floats, offset=_HEADER.size)
-    offset = 0
-    for arr in slots.values():
-        np.copyto(arr, flat[offset : offset + arr.size].reshape(arr.shape))
-        offset += arr.size
+    parts = np.split(payload, np.cumsum(sizes)[:-1])
+    model.load_state_dict({name: part.reshape(arr.shape) for (name, arr), part in zip(slots.items(), parts)})
     return model

@@ -19,7 +19,6 @@ from .config import parse_config
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .errors import (
     AmbcestError,
-    ArtifactError,
     ConfigError,
     FormatError,
     NumericError,
@@ -91,8 +90,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, _, opts = _load_run(args)
-    if not os.path.exists(args.data):
-        raise ArtifactError(f"dataset not found: {args.data} (run gen-data first)")
     ds = load_dataset(args.data)
     hyper = _hyper_from(args, ds.cfg.ma, ds.cfg.mb, ds.pilots)
     model = build_model(hyper, rng=opts.seed)
@@ -115,8 +112,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, _, _ = _load_run(args)
-    if not os.path.exists(args.checkpoint):
-        raise ArtifactError(f"checkpoint not found: {args.checkpoint}")
     model = load_checkpoint(args.checkpoint)
     model.eval_mode()
     score = evaluate(model, cfg, args.link, args.trials, np.random.default_rng(cfg.seed))
@@ -149,8 +144,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg, _, _ = _load_run(args)
-    if not os.path.exists(args.checkpoint):
-        raise ArtifactError(f"checkpoint not found: {args.checkpoint}")
     model = load_checkpoint(args.checkpoint)
     model.analysis = True
     model.eval_mode()
@@ -245,7 +238,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ArtifactError, OSError) as exc:
+    except (FormatError, OSError) as exc:  # OSError includes ArtifactError
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -7,7 +7,7 @@ arrays, and a CRC32 trailer.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,9 +41,8 @@ class Dataset:
 
     y: np.ndarray  # (K, Ma, Mb, P) noisy pilot tensors
     x: np.ndarray  # (K, Ma, Mb) noiseless labels
-    cfg: SystemConfig
+    cfg: SystemConfig  # its seed is the generation seed
     link: str
-    seed: int
 
     def __post_init__(self):
         if self.link not in _LINK_CODES:
@@ -67,6 +66,10 @@ class Dataset:
     def pilots(self) -> int:
         return self.y.shape[3]
 
+    @property
+    def seed(self) -> int:
+        return self.cfg.seed
+
 
 def generate_dataset(
     cfg: SystemConfig, link: str, k: int, seed: int | None = None
@@ -74,15 +77,14 @@ def generate_dataset(
     """Draw K i.i.d. examples (fresh channel + fresh noise each) at cfg's operating point.
 
     The labels are the noiseless channel matrices.  A fixed seed gives a byte-identical
-    dataset; seed=None falls back to cfg.seed.
+    dataset; seed=None falls back to cfg.seed.  The dataset's cfg carries the seed used.
     """
     if k < 1:
         raise ParameterError("need at least one example")
-    if seed is None:
-        seed = cfg.seed
-    rng = np.random.default_rng(seed)
-    y, x = simulate_batch(cfg, link, k, rng)
-    return Dataset(y=y, x=x, cfg=cfg, link=link, seed=int(seed))
+    if seed is not None:
+        cfg = replace(cfg, seed=int(seed))
+    y, x = simulate_batch(cfg, link, k, np.random.default_rng(cfg.seed))
+    return Dataset(y=y, x=x, cfg=cfg, link=link)
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
@@ -98,7 +100,7 @@ def save_dataset(ds: Dataset, path: str) -> None:
         ds.pilots,
         cfg.na,
         cfg.nb,
-        ds.seed,
+        cfg.seed,
         _LINK_CODES[ds.link],
         _CORR_CODES[cfg.corr_h.model],
         _CORR_CODES[cfg.corr_g.model],
@@ -108,33 +110,22 @@ def save_dataset(ds: Dataset, path: str) -> None:
         cfg.corr_h.rho,
         cfg.corr_g.rho,
     )
-    write_artifact(path, [
-        header,
-        np.ascontiguousarray(ds.y, dtype="<f8"),
-        np.ascontiguousarray(ds.x, dtype="<f8"),
-    ])
+    write_artifact(path, header, [ds.y, ds.x])
 
 
 def load_dataset(path: str) -> Dataset:
     """Read an AMBD container back, validating magic, CRC, version, and geometry."""
-    blob = read_artifact(path, MAGIC, _HEADER.size)
-    fields = _HEADER.unpack_from(blob, 0)
-    (_, version, k, m, ma, mb, pilots, na, nb, seed, link_code,
+    fields, payload = read_artifact(path, MAGIC, _HEADER, VERSION, "dataset")
+    (k, m, ma, mb, pilots, na, nb, seed, link_code,
      corr_h_code, corr_g_code, snr_db, zeta_db, f, rho_h, rho_g) = fields
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version} (supported: {VERSION})")
     if link_code not in _LINK_NAMES or corr_h_code not in _CORR_NAMES \
             or corr_g_code not in _CORR_NAMES:
         raise FormatError(f"{path}: unknown enum code in header")
-    expected = _HEADER.size + 8 * k * ma * mb * (pilots + 1) + 4
-    if len(blob) != expected:
+    ny = k * ma * mb * pilots
+    if payload.size != ny + k * ma * mb:
         raise FormatError(
-            f"{path}: expected {expected} bytes for K={k}, got {len(blob)} (truncated?)"
+            f"{path}: expected {ny + k * ma * mb} floats for K={k}, got {payload.size} (truncated?)"
         )
-    off = _HEADER.size
-    ny = 8 * k * ma * mb * pilots
-    y = np.frombuffer(blob, dtype="<f8", count=k * ma * mb * pilots, offset=off)
-    x = np.frombuffer(blob, dtype="<f8", count=k * ma * mb, offset=off + ny)
     try:
         cfg = SystemConfig(
             m=m,
@@ -149,12 +140,12 @@ def load_dataset(path: str) -> Dataset:
             nb=nb,
             seed=seed,
         )
+        # copies: the payload sits unaligned in a read-only buffer
         return Dataset(
-            y=y.reshape(k, ma, mb, pilots).copy(),
-            x=x.reshape(k, ma, mb).copy(),
+            y=payload[:ny].reshape(k, ma, mb, pilots).copy(),
+            x=payload[ny:].reshape(k, ma, mb).copy(),
             cfg=cfg,
             link=_LINK_NAMES[link_code],
-            seed=seed,
         )
     except (ParameterError, ShapeError) as exc:
         raise FormatError(f"{path}: invalid header: {exc}") from exc

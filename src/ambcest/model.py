@@ -293,8 +293,10 @@ def _float32(conv: Conv2D) -> Conv2D:
     return conv
 
 
-def build_model(hyper: DenoiserHyper, rng: np.random.Generator | int | None = None) -> ResidualDenoiser:
+def build_model(hyper: DenoiserHyper, rng: np.random.Generator | int) -> ResidualDenoiser:
     """Construct a freshly initialized network (He-uniform conv weights, zero biases)."""
+    if rng is None:
+        raise ParameterError("build_model needs a seed or Generator; rng=None would be unseeded")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     return ResidualDenoiser(hyper, rng)

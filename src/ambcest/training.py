@@ -42,6 +42,8 @@ class TrainOptions:
             raise ParameterError("patience must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:
             raise ParameterError("val_fraction must lie strictly between 0 and 1")
+        if not 0.0 <= self.momentum < 1.0:  # checked for every optimizer: dump_config writes it
+            raise ParameterError("momentum must lie in [0, 1)")
         make_optimizer(self.optimizer, self.learning_rate, self.momentum)  # fail fast
 
 

@@ -1,12 +1,16 @@
-"""Artifact-file tests: atomic replacement on a failed write, and corruption properties."""
+"""Artifact-file tests: atomic replacement on a failed write, the read checks, and
+corruption properties."""
 
 import os
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambcest import (
+    ArtifactError,
     DenoiserHyper,
     FormatError,
     build_model,
@@ -75,6 +79,38 @@ class TestAtomicWrite:
         save(second(), str(other))
         assert path.read_bytes() == other.read_bytes()
         assert sorted(os.listdir(tmp_path)) == sorted([path.name, other.name])
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("suffix", sorted(KINDS))
+class TestReadChecks:
+    """read_artifact's existence, version and payload-size checks; edited files keep a
+    valid CRC, so only the check under test can reject them."""
+
+    def test_missing_file_is_an_artifact_error_naming_the_path(self, tmp_path, suffix):
+        path = tmp_path / f"missing.{suffix}"
+        with pytest.raises(ArtifactError, match="not found") as info:
+            KINDS[suffix][1](str(path))
+        assert str(path) in str(info.value)
+
+    def test_other_version_is_a_format_error(self, tmp_path, good_files, suffix):
+        body = bytearray(good_files[suffix][:-4])
+        body[4:8] = struct.pack("<I", 99)
+        path = tmp_path / f"v99.{suffix}"
+        path.write_bytes(_with_crc(bytes(body)))
+        with pytest.raises(FormatError, match=r"version 99 \(supported: 1\)") as info:
+            KINDS[suffix][1](str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("extra", [struct.pack("<d", 0.0), b"\0"])
+    def test_longer_payload_is_a_format_error(self, tmp_path, good_files, suffix, extra):
+        path = tmp_path / f"long.{suffix}"
+        path.write_bytes(_with_crc(good_files[suffix][:-4] + extra))
+        with pytest.raises(FormatError):
+            KINDS[suffix][1](str(path))
 
 
 @pytest.fixture(scope="module")

@@ -195,6 +195,15 @@ class TestExitCodes:
         assert main(["eval", "--checkpoint", str(tmp_path / "none.ckpt")]) == 3
         assert "checkpoint not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name, what", [
+        (["train", "--data"], "missing.ambd", "dataset"),
+        (["analyze", "--checkpoint"], "missing.ckpt", "checkpoint"),
+    ])
+    def test_missing_input_artifact_is_3_and_named(self, tmp_path, capsys, command, name, what):
+        path = str(tmp_path / name)
+        assert main(command + [path]) == 3
+        assert f"error: {what} not found: {path}" in capsys.readouterr().err
+
     def test_corrupt_dataset_is_3(self, tmp_path, config, capsys):
         data = tmp_path / "data.ambd"
         data.write_bytes(b"not a dataset at all")
@@ -236,7 +245,7 @@ class TestExitCodes:
         assert str(conf) in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["learning_rate=nan", "learning_rate=inf", "optimizer=foo"])
+    @pytest.mark.parametrize("line", ["learning_rate=nan", "learning_rate=inf", "optimizer=foo", "momentum=1.5"])
     def test_bad_optimizer_setting_is_2_before_training(self, tmp_path, config, capsys, line):
         data = gen_small_dataset(tmp_path, config)
         conf = tmp_path / "bad.conf"

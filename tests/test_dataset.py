@@ -32,6 +32,10 @@ class TestGeneration:
         cfg = SystemConfig(na=2, nb=5)
         assert generate_dataset(cfg, "composite", 3, seed=0).pilots == 5
 
+    def test_seed_has_one_home(self):
+        ds = generate_dataset(SystemConfig(m=4, ma=2, mb=2), "direct", 3, seed=5)
+        assert ds.seed == ds.cfg.seed == 5
+
     def test_seed_defaults_to_config(self):
         cfg = SystemConfig(seed=17)
         a = generate_dataset(cfg, "direct", 4)
@@ -58,7 +62,7 @@ class TestGeneration:
     def test_geometry_validated(self):
         cfg = SystemConfig()
         with pytest.raises(ShapeError):
-            Dataset(y=np.zeros((2, 8, 8, 3)), x=np.zeros((2, 8, 8)), cfg=cfg, link="direct", seed=0)
+            Dataset(y=np.zeros((2, 8, 8, 3)), x=np.zeros((2, 8, 8)), cfg=cfg, link="direct")
 
 
 class TestContainerRoundTrip:
@@ -71,8 +75,7 @@ class TestContainerRoundTrip:
         assert np.array_equal(loaded.y, ds.y)
         assert np.array_equal(loaded.x, ds.x)
         assert loaded.link == ds.link and loaded.seed == ds.seed
-        # the container records the generation seed, which restores into cfg.seed
-        assert loaded.cfg == ds.cfg.with_(seed=ds.seed)
+        assert loaded.cfg == ds.cfg  # the generation seed is the config's seed
 
     def test_save_is_deterministic(self, tmp_path):
         ds = generate_dataset(iid_config(), "direct", 8, seed=3)

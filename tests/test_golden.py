@@ -5,7 +5,9 @@ move:
   - data.ambd and the LS and MMSE rows of sweep.csv never move: exact bytes;
   - CRLD numbers move with float rounding in training: the CRLD rows of sweep.csv, the
     losses of history.csv and both eval NMSEs are held to REL of the recorded values;
-  - every checkpoint loads, and history.csv's best epoch does not move.
+  - every checkpoint loads, and history.csv's best epoch does not move;
+  - sweep_reuse.csv, a second sweep that loads the trained checkpoints instead of
+    training them, equals sweep.csv byte for byte.
 A change that moves CRLD beyond REL updates the values here and says why.
 """
 
@@ -86,6 +88,10 @@ def test_ls_and_mmse_rows_are_byte_identical(out):
     lines = _sweep_lines(out)
     assert lines[0] == "link,method,snr_db,p,nmse,ci_half_width,trials"
     assert [ln for ln in lines[1:] if ",crld," not in ln] == CLASSIC_ROWS
+
+
+def test_reused_checkpoints_give_the_same_sweep_bytes(out):
+    assert (out / "sweep_reuse.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
 
 def test_crld_rows_within_tolerance(out):

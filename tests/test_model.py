@@ -80,10 +80,10 @@ class TestParameterCounts:
     def test_default_network_count(self):
         # per block: conv P->64 (9*2*64+64) + 6x (conv 64->64 + BN) + conv 64->P,
         # three blocks, plus the 1x1 reconstruction over P slices
-        assert build_model(DenoiserHyper()).num_parameters() == 674_505
+        assert build_model(DenoiserHyper(), rng=0).num_parameters() == 674_505
 
     def test_tiny_network_count(self):
-        assert build_model(TINY).num_parameters() == 317
+        assert build_model(TINY, rng=0).num_parameters() == 317
 
     def test_count_by_hand_formula(self):
         hp = DenoiserHyper(blocks=2, layers_per_block=4, filters=8, ma=4, mb=4, pilots=3)
@@ -95,12 +95,12 @@ class TestParameterCounts:
             + (k2 * hp.filters * hp.pilots + hp.pilots)     # exit conv
         )
         want = hp.blocks * per_block + (hp.pilots + 1)      # + 1x1 recon
-        assert build_model(hp).num_parameters() == want
+        assert build_model(hp, rng=0).num_parameters() == want
 
     def test_dense_recon_count(self):
         hp = DenoiserHyper(blocks=1, layers_per_block=2, filters=2, ma=2, mb=2, pilots=2, recon="dense")
         vol = 2 * 2 * 2
-        base = build_model(hp).num_parameters()
+        base = build_model(hp, rng=0).num_parameters()
         conv_part = (9 * 2 * 2 + 2) + (9 * 2 * 2 + 2) + 2 * 2  # two convs + one BN pair
         assert base == conv_part + vol * 4 + 4  # dense recon: (M x vol) weights + M biases
 
@@ -238,6 +238,12 @@ class TestForward:
         b = build_model(TINY, rng=7).eval_mode()
         y = rng.standard_normal((2, 4, 4, 2))
         assert np.array_equal(a.forward(y), b.forward(y))
+
+    def test_build_needs_a_seed(self):
+        with pytest.raises(ParameterError, match="rng"):
+            build_model(TINY, rng=None)
+        with pytest.raises(TypeError):
+            build_model(TINY)
 
     def test_analysis_mode_is_linear(self, rng):
         model = build_model(TINY, rng=1).eval_mode()

@@ -39,6 +39,8 @@ class TestTrainOptions:
             {"learning_rate": float("nan")},
             {"learning_rate": float("inf")},
             {"optimizer": "foo"},
+            {"momentum": 1.5},  # whatever the optimizer: adam never reads it
+            {"momentum": -0.1, "optimizer": "sgd_momentum"},
         ],
     )
     def test_invalid_options_rejected(self, kwargs):
