@@ -98,6 +98,8 @@ class SystemConfig:
             raise ParameterError(f"ma*mb must equal m: {self.ma}*{self.mb} != {self.m}")
         if self.na < 1 or self.nb < 1:
             raise ParameterError("pilot counts na, nb must be >= 1")
+        if not 0 <= self.seed < 2**64:  # what numpy's generators take
+            raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
         # fail fast on an inconsistent operating point
         derive_noise_and_alpha(self)
 

@@ -201,6 +201,8 @@ def run_sweep(
     Each point gets its own spawned seed, so the report is reproducible under a fixed
     `seed` regardless of worker scheduling.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     points = [(link, v) for link in plan.links for v in plan.values]
     seeds = np.random.SeedSequence(seed).spawn(len(points))
     crld_model = partial(

@@ -44,6 +44,8 @@ class TrainOptions:
             raise ParameterError("val_fraction must lie strictly between 0 and 1")
         if not 0.0 <= self.momentum < 1.0:  # checked for every optimizer: dump_config writes it
             raise ParameterError("momentum must lie in [0, 1)")
+        if not 0 <= self.seed < 2**64:  # what numpy's generators take
+            raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
         make_optimizer(self.optimizer, self.learning_rate, self.momentum)  # fail fast
 
 

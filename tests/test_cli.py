@@ -259,6 +259,28 @@ class TestExitCodes:
         assert str(conf) in capsys.readouterr().err
         assert not ckpt.exists() and not history.exists()
 
+    @pytest.mark.parametrize("line, flags", [("", ["--seed", "-5"]), ("seed=-1\n", []), ("train_seed=-1\n", [])],
+                             ids=["--seed", "seed", "train_seed"])
+    def test_negative_seed_is_2_and_writes_nothing(self, tmp_path, capsys, line, flags):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(SMALL_SYSTEM + line)
+        out = tmp_path / "data.ambd"
+        code = main(["gen-data", "--config", str(conf), "--k", "16", "--out", str(out)] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_workers_below_one_is_2(self, tmp_path, config, capsys, workers):
+        out = tmp_path / "report.csv"
+        code = main(["sweep", "--config", config, "--trials", "200", "--out", str(out),
+                     "--checkpoint-dir", str(tmp_path), "--workers", workers])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "workers" in err
+        assert not out.exists()
+
     def test_geometry_mismatch_is_2(self, tmp_path, config, capsys):
         data = gen_small_dataset(tmp_path, config)
         ckpt = str(tmp_path / "model.ckpt")

@@ -383,12 +383,20 @@ class TestAgainstReference:
     float32 results are held against the float64 reference of the same input."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_conv(self, k, dtype, rng):
-        conv = Conv2D(3, 5, kernel_size=k, rng=rng)
-        conv.b[...] = rng.standard_normal(5)
-        x = rng.standard_normal((4, 6, 7, 3)).astype(dtype)
-        g = rng.standard_normal((4, 6, 7, 5)).astype(dtype)
+    @pytest.mark.parametrize("k, c_in, c_out, shape", [
+        pytest.param(1, 3, 5, (4, 6, 7), id="1"),
+        pytest.param(3, 3, 5, (4, 6, 7), id="3"),
+        # a narrower output backpropagates on the padded grid; N*H*W = 512 is two whole
+        # 256-row blocks of the float32 grad_b sum, and 315 leaves 59 rows over
+        pytest.param(3, 5, 2, (4, 6, 7), id="3-5to2"),
+        pytest.param(3, 16, 2, (8, 8, 8), id="3-16to2-whole-blocks"),
+        pytest.param(1, 16, 2, (5, 9, 7), id="1-16to2-partial-block"),
+    ])
+    def test_conv(self, k, c_in, c_out, shape, dtype, rng):
+        conv = Conv2D(c_in, c_out, kernel_size=k, rng=rng)
+        conv.b[...] = rng.standard_normal(c_out)
+        x = rng.standard_normal((*shape, c_in)).astype(dtype)
+        g = rng.standard_normal((*shape, c_out)).astype(dtype)
         out, backward = ref_conv(x.astype(np.float64), conv.w, conv.b)
         grad_in, grad_w, grad_b = backward(g.astype(np.float64))
         assert_matches_reference(conv.forward(x), out, dtype)
@@ -397,11 +405,17 @@ class TestAgainstReference:
         assert_matches_reference(conv.grad_b, grad_b, dtype)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("mode", [BatchNorm2D.TRAIN, BatchNorm2D.EVAL])
-    def test_batch_norm(self, mode, dtype, rng):
+    @pytest.mark.parametrize("mode, shape", [
+        pytest.param(BatchNorm2D.TRAIN, (5, 6, 7), id="train"),
+        pytest.param(BatchNorm2D.EVAL, (5, 6, 7), id="eval"),
+        # float32 sums run over 256-row blocks: two whole ones, then one and 59 rows over
+        pytest.param(BatchNorm2D.TRAIN, (8, 8, 8), id="train-whole-blocks"),
+        pytest.param(BatchNorm2D.TRAIN, (5, 9, 7), id="train-partial-block"),
+    ])
+    def test_batch_norm(self, mode, shape, dtype, rng):
         bn = seeded_batch_norm(rng, 4, mode)
-        x = (3.0 * rng.standard_normal((5, 6, 7, 4)) + 1.0).astype(dtype)
-        g = rng.standard_normal((5, 6, 7, 4)).astype(dtype)
+        x = (3.0 * rng.standard_normal((*shape, 4)) + 1.0).astype(dtype)
+        g = rng.standard_normal((*shape, 4)).astype(dtype)
         out, running, backward = ref_batch_norm(x.astype(np.float64), bn, mode)
         grad_in, grad_gamma, grad_beta = backward(g.astype(np.float64))
         assert_matches_reference(bn.forward(x), out, dtype)

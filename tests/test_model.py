@@ -1,6 +1,9 @@
 """Network tests: parameter counts, residual identity, gradients, checkpoint I/O."""
 
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -34,6 +37,21 @@ C7 = DenoiserHyper(blocks=2, layers_per_block=4, filters=16, ma=8, mb=8, pilots=
 # predict computes in float32: its largest deviation from the float64 eval forward must stay
 # within this share of the largest output entry (about 1e-6 is typical)
 PREDICT_RTOL = 1e-5
+
+# one seeded float32 train step of the criterion-7 net; prints a hash per output array
+C7_TRAIN_STEP = """
+import hashlib
+import numpy as np
+from ambcest import DenoiserHyper, build_model, mse_loss
+hyper = DenoiserHyper(blocks=2, layers_per_block=4, filters=16, ma=8, mb=8, pilots=2)
+model = build_model(hyper, rng=0).train_mode()
+rng = np.random.default_rng(11)
+pred = model.forward(rng.standard_normal((128, 8, 8, 2)).astype(np.float32))
+_, grad = mse_loss(pred, rng.standard_normal(pred.shape).astype(np.float32))
+arrays = {"pred": pred, "input": model.backward(grad / 128), **model.named_gradients()}
+for name, a in arrays.items():
+    print(name, hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+"""
 
 
 def assert_predict_close(got, ref):
@@ -358,6 +376,18 @@ class TestComputeDtype:
             scale = largest if name in feeds_bn else np.max(np.abs(g))
             err = np.max(np.abs(g32[name] - g))
             assert err <= 1e-4 * scale, f"{name}: {err:.3g} vs scale {scale:.3g}"
+
+    def test_float32_train_step_is_independent_of_the_blas_thread_count(self):
+        # BLAS fixes its thread count when it loads, so each count gets its own process
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        hashes = []
+        for threads in ("1", "2"):
+            blas = {v: threads for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            proc = subprocess.run([sys.executable, "-c", C7_TRAIN_STEP], env={**os.environ, "PYTHONPATH": src, **blas},
+                                  capture_output=True, text=True, timeout=120, check=True)
+            hashes.append(proc.stdout.splitlines())
+        assert len(hashes[0]) == 2 + len(build_model(C7, rng=0).named_gradients())
+        assert hashes[0] == hashes[1]
 
 
 class TestBackward:
