@@ -1,18 +1,21 @@
 """Golden pipeline: a small fixed-seed CLI run whose files pin the package's numbers.
 
-    python3 scripts/golden.py CHECKOUT [OUTDIR]
+    python3 scripts/golden.py [--blas-threads N] CHECKOUT [OUTDIR]
 
 Runs the pipeline with CHECKOUT's src/ on the import path and prints the sha256 of
 every file it writes; run it on two checkouts and compare the lists.  OUTDIR (default:
-a new temporary directory) receives the files.  BLAS runs on one thread, so the float
-results do not depend on the machine's core count.  The pipeline draws a dataset
-(gen-data), trains on it with a per-epoch history (train --history), sweeps LS, MMSE
-and CRLD over two SNR points and both links, training the four CRLD checkpoints
-(sweep --train), sweeps again reusing those checkpoints (sweep_reuse.csv), and scores
-two of them (eval, one per link; stdout is kept as eval_*.txt).  tests/test_golden.py
-runs the same pipeline through run() and checks its files against recorded values.
+a new temporary directory) receives the files.  BLAS runs on N threads (default 1, so
+the float results do not depend on the machine's core count); the same hashes at
+--blas-threads 1 and 2 show that they do not depend on the thread count either.  The
+pipeline draws a dataset (gen-data), trains on it with a per-epoch history (train
+--history), sweeps LS, MMSE and CRLD over two SNR points and both links, training the
+four CRLD checkpoints (sweep --train), sweeps again reusing those checkpoints
+(sweep_reuse.csv), and scores two of them (eval, one per link; stdout is kept as
+eval_*.txt).  tests/test_golden.py runs the same pipeline through run() and checks its
+files against recorded values.
 """
 
+import argparse
 import glob
 import hashlib
 import os
@@ -55,19 +58,20 @@ COMMANDS = (
       "--link", "composite", "--trials", "2000"), "eval_composite.txt"),
 )
 
-ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run(checkout: str, outdir: str) -> list[str]:
-    """Run the pipeline from `checkout` into `outdir`; returns the written files, relative
-    to `outdir`, in a fixed order.  A failing command raises CalledProcessError."""
+def run(checkout: str, outdir: str, blas_threads: int = 1) -> list[str]:
+    """Run the pipeline from `checkout` into `outdir` with BLAS on `blas_threads` threads;
+    returns the written files, relative to `outdir`, in a fixed order.  A failing command
+    raises CalledProcessError."""
     src = os.path.join(os.path.abspath(checkout), "src")
     if not os.path.isfile(os.path.join(src, "ambcest", "__init__.py")):
         raise FileNotFoundError(f"no package source under {src}")
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "golden.conf"), "w") as f:
         f.write(CONFIG)
-    env = {**os.environ, "PYTHONPATH": src, **ONE_BLAS_THREAD}
+    env = {**os.environ, "PYTHONPATH": src, **{v: str(blas_threads) for v in BLAS_THREAD_VARS}}
     for args, stdout_name in COMMANDS:
         cmd = [sys.executable, "-m", "ambcest.cli", *args]
         if stdout_name is None:
@@ -86,13 +90,16 @@ def sha256(path: str) -> str:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) not in (1, 2):
-        print(f"usage: {os.path.basename(sys.argv[0])} CHECKOUT [OUTDIR]", file=sys.stderr)
-        return 2
-    outdir = argv[1] if len(argv) == 2 else tempfile.mkdtemp(prefix="golden-")
+    parser = argparse.ArgumentParser(description="Run the golden pipeline and print its sha256 list.")
+    parser.add_argument("checkout")
+    parser.add_argument("outdir", nargs="?")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N")
+    args = parser.parse_args(argv)
+    if args.blas_threads < 1:
+        parser.error(f"--blas-threads must be >= 1, got {args.blas_threads}")
+    outdir = args.outdir or tempfile.mkdtemp(prefix="golden-")
     try:
-        files = run(argv[0], outdir)
+        files = run(args.checkout, outdir, args.blas_threads)
     except (FileNotFoundError, subprocess.CalledProcessError) as exc:
         print(f"golden: {exc}", file=sys.stderr)
         return 2

@@ -118,6 +118,15 @@ class SystemConfig:
         return derive_noise_and_alpha(self)[1]
 
 
+def _power(key: str, base: float, exponent: float) -> float:
+    """base**exponent computed from the config value `key`; a result too large for a float
+    is a ParameterError that names the key."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ParameterError(f"{key} out of range: {base!r}**{exponent!r} overflows a float") from None
+
+
 def derive_noise_and_alpha(cfg: SystemConfig) -> tuple[float, float]:
     """Solve the SNR and zeta definitions for (sigma_u^2, alpha) with unit pilots.
 
@@ -128,17 +137,20 @@ def derive_noise_and_alpha(cfg: SystemConfig) -> tuple[float, float]:
     """
     tr_h = float(cfg.m)
     tr_g = float(cfg.m)
-    # snr_db = +inf is a legal noiseless operating point; snr_db = -inf is not
-    if cfg.snr_db == float("-inf"):
-        raise ParameterError("snr_db = -inf gives an infinite noise power")
-    sigma_u_sq = tr_h / (cfg.m * 10.0 ** (cfg.snr_db / 10.0))
-    zeta = 10.0 ** (cfg.zeta_db / 10.0)
+    snr = _power("snr_db", 10.0, cfg.snr_db / 10.0)
+    # snr_db = +inf is a legal noiseless operating point; snr_db = -inf, or one so low
+    # that the power underflows to 0, is not
+    if snr == 0.0:
+        raise ParameterError(f"snr_db={cfg.snr_db} gives an infinite noise power")
+    sigma_u_sq = tr_h / (cfg.m * snr)
+    zeta = _power("zeta_db", 10.0, cfg.zeta_db / 10.0)
     if zeta == 0.0:
         alpha = 0.0
-    elif cfg.f == 0.0:
-        raise ParameterError("f = 0 is incompatible with a finite zeta_db")
     else:
-        alpha = float(np.sqrt(zeta * tr_h / (cfg.f**2 * tr_g)))
+        f_sq = _power("f", cfg.f, 2)
+        if f_sq == 0.0:
+            raise ParameterError(f"f={cfg.f} gives f^2 = 0, incompatible with a finite zeta_db")
+        alpha = float(np.sqrt(zeta * tr_h / (f_sq * tr_g)))
     if not np.isfinite(sigma_u_sq) or sigma_u_sq < 0:
         raise ParameterError(f"derived sigma_u^2 must be finite and >= 0, got {sigma_u_sq}")
     if not math.isfinite(alpha * cfg.f):  # zeta_db = nan or +inf, or f = nan or +/-inf

@@ -88,19 +88,20 @@ def generate_dataset(
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    """Serialize to the AMBD container (little-endian float64 payload, CRC32 trailer)."""
+    """Serialize to the AMBD container (little-endian float64 payload, CRC32 trailer).
+
+    Every integer the header packs must fit its u32 field; one that does not is a
+    ParameterError that names it, raised before the file is opened."""
     cfg = ds.cfg
+    counts = {"k": len(ds), "m": cfg.m, "ma": cfg.ma, "mb": cfg.mb, "pilots": ds.pilots,
+              "na": cfg.na, "nb": cfg.nb, "seed": cfg.seed}
+    for key, value in counts.items():
+        if not 0 <= value < 2**32:
+            raise ParameterError(f"{key}={value} does not fit the dataset header's u32 field")
     header = _HEADER.pack(
         MAGIC,
         VERSION,
-        len(ds),
-        cfg.m,
-        cfg.ma,
-        cfg.mb,
-        ds.pilots,
-        cfg.na,
-        cfg.nb,
-        cfg.seed,
+        *counts.values(),
         _LINK_CODES[ds.link],
         _CORR_CODES[cfg.corr_h.model],
         _CORR_CODES[cfg.corr_g.model],

@@ -60,22 +60,85 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
     return x
 
 
+# im2col when a window row, k*k*C_in values, is at most this long; deeper inputs take
+# the spatial-major taps
+_IM2COL_DEPTH = 32
+# output bytes per block of the spatial-major taps: one tap's product and the rows it
+# adds into stay in cache
+_BLOCK_BYTES = 1 << 19
+
+
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded stride-1 convolution of a batch x (N, H, W, C) with filters w (K, k, k, C)
+    and bias b (K,), both of x's dtype.  Returns (out, cols): out is (N, H, W, K), and
+    cols the copy of x that the layout built, which Conv2D.backward reads for grad_w.
+
+    A shallow input (k*k*C <= _IM2COL_DEPTH, or k = 1) takes one im2col GEMM: cols is the
+    (N*H*W, C*k*k) window matrix, or x itself when k = 1.  Any other input is copied once
+    into an H-padded spatial-major array cols (H+2p, W, N, C).  Output rows are then
+    (y, x, n), and tap (dy, dx) reads the contiguous rows of cols from row dy*W*N on:
+    each tap is one GEMM with no window copy, added into the output shifted by dx - p
+    columns.  The taps run over blocks of output rows, so a tap's product is added while
+    it is still in cache, and the sum is transposed back to (N, H, W, K) once.
+    """
+    n, h, wd, c = x.shape
+    k_out, k = w.shape[0], w.shape[1]
+    p = k // 2
+    if k == 1 or k * k * c <= _IM2COL_DEPTH:
+        if p:
+            x_pad = np.zeros((n, h + 2 * p, wd + 2 * p, c), dtype=x.dtype)
+            x_pad[:, p : p + h, p : p + wd, :] = x
+            windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(1, 2))
+            cols = windows.reshape(n * h * wd, c * k * k)
+        else:
+            cols = x.reshape(n * h * wd, c)
+        out = cols @ w.transpose(0, 3, 1, 2).reshape(k_out, c * k * k).T
+        out += b
+        return out.reshape(n, h, wd, k_out), cols
+    cols = np.empty((h + 2 * p, wd, n, c), dtype=x.dtype)
+    cols[:p] = 0
+    cols[p + h :] = 0
+    cols[p : p + h] = x.transpose(1, 2, 0, 3)
+    rows, taps = cols.reshape(-1, c), w.transpose(1, 2, 3, 0)
+    step = wd * n
+    acc = np.empty((h, wd, n, k_out), dtype=x.dtype)
+    block = max(1, _BLOCK_BYTES // (step * k_out * x.itemsize))  # output rows y per block
+    tmp = np.empty((min(h, block) * step, k_out), dtype=x.dtype)
+    # the centre tap covers every output and starts the sum; a shift of W or more adds nothing
+    shifted = [(dy, dx) for dy in range(k) for dx in range(k) if (dy, dx) != (p, p) and abs(dx - p) < wd]
+    for y0 in range(0, h, block):
+        y1 = min(h, y0 + block)
+        acc_rows = acc[y0:y1].reshape(-1, k_out)
+        np.matmul(rows[(y0 + p) * step : (y1 + p) * step], taps[p, p], out=acc_rows)
+        acc_cols = acc_rows.reshape(y1 - y0, wd, n * k_out)
+        prod = tmp[: (y1 - y0) * step]
+        prod_cols = prod.reshape(y1 - y0, wd, n * k_out)
+        for dy, dx in shifted:
+            np.matmul(rows[(y0 + dy) * step : (y1 + dy) * step], taps[dy, dx], out=prod)
+            s = dx - p
+            acc_cols[:, max(0, -s) : wd - max(0, s)] += prod_cols[:, max(0, s) : wd + min(0, s)]
+    out = np.empty((n, h, wd, k_out), dtype=x.dtype)
+    np.add(acc.transpose(2, 0, 1, 3), b, out=out)
+    return out, cols
+
+
 class Conv2D:
     """Same-padded stride-1 convolution, filters (K, kh, kw, C_in), zero padding.
 
     out[y, x, k] = b[k] + sum_{dy,dx,c} w[k, dy, dx, c] * padded_in[y+dy, x+dx, c]
-    Implemented as a shifted GEMM: one (N*H*W, C_in) @ (C_in, K) product per tap (dy, dx), summed.
-    Forward zero-pads its input once and caches only that padded copy (the input itself
-    when kernel_size is 1); backward reuses it for both gradients.
 
-    Backward picks its layout from the shape.  With an output narrower than the input
-    (K < C_in) and kernel_size > 1, it places grad_out in the top-left corner of a zero
-    (N, H+2p, W+2p, K) grid and views that grid and the padded input as row matrices; tap
-    (dy, dx) is then the row offset dy*(W+2p) + dx, and each tap's two products read the
-    rows in place instead of copying an input window.  Every other shape keeps the tap
-    loop, which is faster there.  Both layouts add the same products, so the float64
-    gradients agree to rounding (rtol 1e-12).  grad_b is a per-channel sum as in
-    BatchNorm2D: float32 through BLAS, float64 through numpy's sum.
+    The kernel _conv picks its layout from the shape: one im2col GEMM for a shallow input
+    (k*k*C_in <= 32, such as each block's P -> F first conv, or any 1x1 conv), otherwise
+    one GEMM per tap over an H-padded spatial-major copy, with no window copies.  Forward
+    caches only the copy the layout built.
+
+    Backward gets the input gradient from the same kernel: for a same-padded stride-1
+    conv it is the conv of grad_out with the flipped, transposed filters
+    w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0), whose layout follows K.  grad_w is one
+    GEMM against the cached im2col matrix, or one product per tap against the cached
+    spatial-major copy.  Each layout adds the products in its own order, so float64
+    results agree with the tap-loop formula to rounding (rtol 1e-12).  grad_b is a
+    per-channel sum as in BatchNorm2D: float32 through BLAS, float64 through numpy's sum.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3, *, rng=None):
@@ -95,70 +158,53 @@ class Conv2D:
         self.b = np.zeros(out_channels)
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
-        self._x_pad = None
-
-    def _taps(self, x_pad: np.ndarray, h: int, w_dim: int):
-        """Yield (dy, dx, window) with window the (N*H*W, C_in) rows of x_pad at (dy, dx)."""
-        n, c = x_pad.shape[0], x_pad.shape[3]
-        for dy in range(self.kernel_size):
-            for dx in range(self.kernel_size):
-                yield dy, dx, x_pad[:, dy : dy + h, dx : dx + w_dim, :].reshape(n * h * w_dim, c)
+        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_batch(x)
         if x.shape[3] != self.in_channels:
             raise ShapeError(f"expected {self.in_channels} input channels, got {x.shape[3]}")
-        n, h, w_dim, c = x.shape
-        pad = self.kernel_size // 2
-        if pad:
-            x_pad = np.zeros((n, h + 2 * pad, w_dim + 2 * pad, c), dtype=x.dtype)
-            x_pad[:, pad : pad + h, pad : pad + w_dim, :] = x
-        else:
-            x_pad = x
-        w = self.w.astype(x.dtype, copy=False)
-        out = np.full((n * h * w_dim, self.out_channels), self.b, dtype=x.dtype)
-        for dy, dx, window in self._taps(x_pad, h, w_dim):
-            out += window @ w[:, dy, dx, :].T
-        self._x_pad = x_pad
-        return out.reshape(n, h, w_dim, self.out_channels)
+        out, cols = _conv(x, self.w.astype(x.dtype, copy=False), self.b.astype(x.dtype, copy=False))
+        self._cache = (x.shape[:3], cols)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_pad is None:
+        if self._cache is None:
             raise ShapeError("backward called before forward")
-        x_pad = self._x_pad
-        pad = self.kernel_size // 2
-        grad_out = np.asarray(grad_out, dtype=x_pad.dtype)
-        n, h_pad, w_pad, c_in = x_pad.shape
-        h, w_dim = h_pad - 2 * pad, w_pad - 2 * pad
-        if grad_out.shape != (n, h, w_dim, self.out_channels):
+        (n, h, wd), cols = self._cache
+        k, k_out, c_in = self.kernel_size, self.out_channels, self.in_channels
+        p = k // 2
+        grad_out = np.asarray(grad_out, dtype=cols.dtype)
+        if grad_out.shape != (n, h, wd, k_out):
             raise ShapeError(
-                f"grad_out shape {grad_out.shape} does not match forward output "
-                f"{(n, h, w_dim, self.out_channels)}"
+                f"grad_out shape {grad_out.shape} does not match forward output {(n, h, wd, k_out)}"
             )
-        gmat = grad_out.reshape(n * h * w_dim, self.out_channels)
-        w = self.w.astype(gmat.dtype, copy=False)
-        self.grad_b = _channel_sum(gmat)
+        w = self.w.astype(cols.dtype, copy=False)
+        flipped = w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0)
+        grad_in, g_cols = _conv(grad_out, flipped, np.zeros(c_in, dtype=cols.dtype))
+        self.grad_b = _channel_sum(grad_out)
         self.grad_w = np.empty_like(self.w)
-        grad_pad = np.zeros(x_pad.shape, dtype=gmat.dtype)
-        if self.kernel_size > 1 and self.out_channels < c_in:
-            # grad_out in the top-left corner of a padded grid: tap (dy, dx) is then the
-            # row offset dy*w_pad + dx between grid rows, and no input window is copied
-            g_grid = np.zeros((n, h_pad, w_pad, self.out_channels), dtype=gmat.dtype)
-            g_grid[:, :h, :w_dim, :] = grad_out
-            g_rows = g_grid.reshape(-1, self.out_channels)
-            x_rows, grad_rows = x_pad.reshape(-1, c_in), grad_pad.reshape(-1, c_in)
-            rows = g_rows.shape[0]
-            for dy in range(self.kernel_size):
-                for dx in range(self.kernel_size):
-                    off = dy * w_pad + dx
-                    self.grad_w[:, dy, dx, :] = g_rows[: rows - off].T @ x_rows[off:]
-                    grad_rows[off:] += g_rows[: rows - off] @ w[:, dy, dx, :]
-        else:
-            for dy, dx, window in self._taps(x_pad, h, w_dim):
-                self.grad_w[:, dy, dx, :] = gmat.T @ window
-                tap_grad = gmat @ w[:, dy, dx, :]
-                grad_pad[:, dy : dy + h, dx : dx + w_dim, :] += tap_grad.reshape(n, h, w_dim, c_in)
-        return grad_pad[:, pad : pad + h, pad : pad + w_dim, :]
+        if cols.ndim == 2:
+            g_rows = grad_out.reshape(-1, k_out)
+            self.grad_w[...] = (g_rows.T @ cols).reshape(k_out, c_in, k, k).transpose(0, 2, 3, 1)
+            return grad_in
+        # grad_out spatial-major: the interior of the kernel's own copy when it built one
+        g_sm = g_cols[p : p + h] if g_cols.ndim == 4 else grad_out.transpose(1, 2, 0, 3).copy()
+        rows, span, step = cols.reshape(-1, c_in), h * wd * n, wd * n
+        for s in range(-p, p + 1):  # tap column dx = p + s reads input column x + s
+            g = g_sm
+            if s:
+                # zero grad_out where x + s leaves [0, W): only there does the flat row
+                # offset s*N cross an image-row edge
+                g = g_sm.copy()
+                g[:, slice(max(0, wd - s), None) if s > 0 else slice(0, -s)] = 0
+            g_rows = g.reshape(-1, k_out)
+            lo = max(0, -s) * n
+            hi = max(lo, span - max(0, s) * n)
+            for dy in range(k):
+                off = dy * step + s * n
+                self.grad_w[:, dy, p + s, :] = g_rows[lo:hi].T @ rows[lo + off : hi + off]
+        return grad_in
 
     def named_parameters(self, prefix: str) -> dict:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}

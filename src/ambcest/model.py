@@ -18,7 +18,8 @@ RECON_CONV1X1 = "conv1x1"
 RECON_DENSE = "dense"
 RECON_KINDS = (RECON_CONV1X1, RECON_DENSE)
 
-# examples per chunk in predict(): bounds the activations and the per-tap conv buffers
+# examples per chunk in predict(): bounds the activations and the copy of its input
+# that each conv builds (spatial-major or im2col)
 PREDICT_CHUNK = 256
 
 
@@ -195,7 +196,7 @@ class ResidualDenoiser:
                 s = chunk.astype(np.float32)
                 for conv, relu in layers:
                     s = conv.forward(s)
-                    conv._x_pad = None  # a folded copy never runs backward
+                    conv._cache = None  # a folded copy never runs backward
                     if relu is not None:
                         np.maximum(s, 0, out=s)
                 chunk = chunk - s

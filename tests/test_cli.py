@@ -234,7 +234,9 @@ class TestExitCodes:
         assert code == 4
         assert "epoch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["zeta_db=nan", "zeta_db=inf", "f=nan", "f=inf"])
+    # the last five overflow 10^(dB/10) or f^2, or underflow it to 0
+    @pytest.mark.parametrize("line", ["zeta_db=nan", "zeta_db=inf", "f=nan", "f=inf", "snr_db=1e308",
+                                      "zeta_db=1e308", "snr_db=-1e308", "f=1e-320", "f=-1e308"])
     def test_non_finite_reflection_is_2_and_writes_nothing(self, tmp_path, capsys, line):
         conf = tmp_path / "bad.conf"
         conf.write_text(f"m=16\nma=4\nmb=4\n{line}\n")
@@ -242,7 +244,20 @@ class TestExitCodes:
         code = main(["gen-data", "--config", str(conf), "--link", "composite", "--k", "200",
                      "--out", str(out)])
         assert code == 2
-        assert str(conf) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(conf) in err and line.split("=")[0] in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_seed_wider_than_the_header_field_is_2_and_writes_nothing(self, tmp_path, capsys):
+        conf = tmp_path / "small.conf"
+        conf.write_text(SMALL_SYSTEM)
+        out = tmp_path / "data.ambd"
+        code = main(["gen-data", "--config", str(conf), "--k", "16", "--out", str(out),
+                     "--seed", str(2**32)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["learning_rate=nan", "learning_rate=inf", "optimizer=foo", "momentum=1.5"])

@@ -18,6 +18,7 @@ from ambcest import (
     grad_check_input,
     mse_loss,
 )
+from ambcest.layers import _conv
 
 
 def conv_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -386,11 +387,21 @@ class TestAgainstReference:
     @pytest.mark.parametrize("k, c_in, c_out, shape", [
         pytest.param(1, 3, 5, (4, 6, 7), id="1"),
         pytest.param(3, 3, 5, (4, 6, 7), id="3"),
-        # a narrower output backpropagates on the padded grid; N*H*W = 512 is two whole
-        # 256-row blocks of the float32 grad_b sum, and 315 leaves 59 rows over
+        # a narrower output: forward takes the spatial-major taps and the input gradient,
+        # a conv with 2 input channels, im2col; N*H*W = 512 is two whole 256-row blocks of
+        # the float32 grad_b sum, and 315 leaves 59 rows over
         pytest.param(3, 5, 2, (4, 6, 7), id="3-5to2"),
         pytest.param(3, 16, 2, (8, 8, 8), id="3-16to2-whole-blocks"),
         pytest.param(1, 16, 2, (5, 9, 7), id="1-16to2-partial-block"),
+        # each layout of the conv kernel: im2col for a shallow input, spatial-major taps
+        # for a deep one (dx shifts of +-2 at k=5, on an odd grid), a batch of one, and
+        # a 1x1 conv, which is one GEMM whatever its depth
+        pytest.param(3, 2, 64, (4, 6, 7), id="3-2to64-im2col"),
+        pytest.param(3, 16, 16, (4, 6, 7), id="3-16to16-spatial"),
+        pytest.param(3, 64, 64, (4, 8, 8), id="3-64to64-spatial"),
+        pytest.param(5, 3, 4, (3, 7, 9), id="5-3to4-odd-grid"),
+        pytest.param(3, 16, 16, (1, 6, 7), id="3-16to16-n1"),
+        pytest.param(1, 16, 16, (4, 6, 7), id="1-16to16"),
     ])
     def test_conv(self, k, c_in, c_out, shape, dtype, rng):
         conv = Conv2D(c_in, c_out, kernel_size=k, rng=rng)
@@ -403,6 +414,15 @@ class TestAgainstReference:
         assert_matches_reference(conv.backward(g), grad_in, dtype)
         assert_matches_reference(conv.grad_w, grad_w, dtype)
         assert_matches_reference(conv.grad_b, grad_b, dtype)
+
+    @pytest.mark.parametrize("k, c_in, layout", [
+        (3, 2, "im2col"), (3, 3, "im2col"), (1, 64, "im2col"), (3, 4, "spatial"), (5, 2, "spatial"),
+    ])
+    def test_conv_layout_follows_the_window_depth(self, k, c_in, layout, rng):
+        # the test_conv ids name a layout; this keeps them true: im2col up to
+        # k*k*C_in = 32 and for every 1x1 conv, the spatial-major taps above that
+        _, cols = _conv(rng.standard_normal((2, 3, 4, c_in)), rng.standard_normal((5, k, k, c_in)), np.zeros(5))
+        assert cols.ndim == {"im2col": 2, "spatial": 4}[layout]
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("mode, shape", [
@@ -454,7 +474,7 @@ def _layer_under_test(kind, channels, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["conv1", "conv3", "bn-train", "bn-eval", "relu"]),
+    kind=st.sampled_from(["conv1", "conv3", "conv5", "bn-train", "bn-eval", "relu"]),
     shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
     dtype=st.sampled_from(DTYPES),
     seed=st.integers(0, 2**32 - 1),

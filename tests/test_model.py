@@ -39,7 +39,9 @@ C7 = DenoiserHyper(blocks=2, layers_per_block=4, filters=16, ma=8, mb=8, pilots=
 PREDICT_RTOL = 1e-5
 
 # one seeded float32 train step of the criterion-7 net; prints a hash per output array
-C7_TRAIN_STEP = """
+# one float32 criterion-7 train step, then a float32 predict of the default net: its
+# 64-channel convs take the spatial-major taps and its 2 -> 64 convs the im2col GEMM
+BLAS_PROBE = """
 import hashlib
 import numpy as np
 from ambcest import DenoiserHyper, build_model, mse_loss
@@ -49,6 +51,8 @@ rng = np.random.default_rng(11)
 pred = model.forward(rng.standard_normal((128, 8, 8, 2)).astype(np.float32))
 _, grad = mse_loss(pred, rng.standard_normal(pred.shape).astype(np.float32))
 arrays = {"pred": pred, "input": model.backward(grad / 128), **model.named_gradients()}
+default = build_model(DenoiserHyper(), rng=0).eval_mode()
+arrays["default_predict"] = default.predict(rng.standard_normal((256, 8, 8, 2)).astype(np.float32))
 for name, a in arrays.items():
     print(name, hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
 """
@@ -383,10 +387,10 @@ class TestComputeDtype:
         hashes = []
         for threads in ("1", "2"):
             blas = {v: threads for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-            proc = subprocess.run([sys.executable, "-c", C7_TRAIN_STEP], env={**os.environ, "PYTHONPATH": src, **blas},
+            proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env={**os.environ, "PYTHONPATH": src, **blas},
                                   capture_output=True, text=True, timeout=120, check=True)
             hashes.append(proc.stdout.splitlines())
-        assert len(hashes[0]) == 2 + len(build_model(C7, rng=0).named_gradients())
+        assert len(hashes[0]) == 3 + len(build_model(C7, rng=0).named_gradients())
         assert hashes[0] == hashes[1]
 
 
