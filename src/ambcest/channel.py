@@ -70,6 +70,15 @@ def sample_gaussian_vector(R: np.ndarray, rng: np.random.Generator, size: int | 
     return z @ L.T
 
 
+def check_counts(**counts: int) -> None:
+    """Refuse any count at or above 2**32, naming its key.  Callers check counts where they
+    are parsed, before they size an array or a u32 field of the dataset header (gen-data
+    passes its seed too, which that header also stores)."""
+    for key, value in counts.items():
+        if value >= 2**32:
+            raise ParameterError(f"{key}={value} must be below 2**32")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Operating point of the simulator: geometry, SNR/reflection levels, pilot counts.
@@ -92,6 +101,7 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_counts(m=self.m, ma=self.ma, mb=self.mb, na=self.na, nb=self.nb)
         if self.m < 1 or self.ma < 1 or self.mb < 1:
             raise ParameterError("antenna counts must be positive")
         if self.ma * self.mb != self.m:

@@ -46,7 +46,7 @@ def save_checkpoint(model: ResidualDenoiser, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ResidualDenoiser:
-    """Reconstruct a model from a checkpoint file; the mode is left unset.
+    """Reconstruct a model from a checkpoint file, in eval mode and ready to score.
 
     The CRC covers the header, so a corrupted header is reported as a corrupt file
     before any of its fields sizes a model.
@@ -71,4 +71,4 @@ def load_checkpoint(path: str | Path) -> ResidualDenoiser:
         )
     parts = np.split(payload, np.cumsum(sizes)[:-1])
     model.load_state_dict({name: part.reshape(arr.shape) for (name, arr), part in zip(slots.items(), parts)})
-    return model
+    return model.eval_mode()

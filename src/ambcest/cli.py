@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import extract_effective_map, map_distance, mmse_weight_target
-from .channel import LINK_DIRECT, LINKS, SystemConfig, link_correlation, pilots_for_link
+from .channel import LINK_DIRECT, LINKS, SystemConfig, check_counts, link_correlation, pilots_for_link
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import parse_config
 from .dataset import generate_dataset, load_dataset, save_dataset
@@ -82,6 +82,7 @@ def _hyper_from(args, ma: int, mb: int, pilots: int) -> DenoiserHyper:
 
 def cmd_gen_data(args) -> int:
     cfg, _, _ = _load_run(args)
+    check_counts(k=args.k, seed=cfg.seed)  # both go in u32 header fields: refuse before the draw
     ds = generate_dataset(cfg, args.link, args.k, seed=cfg.seed)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {len(ds)} examples, link={ds.link}, P={ds.pilots}")
@@ -97,9 +98,7 @@ def cmd_train(args) -> int:
     out = args.out
     if out is None:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
-        out = os.path.join(
-            args.checkpoint_dir, checkpoint_name(ds.link, ds.cfg.snr_db, ds.pilots)
-        )
+        out = os.path.join(args.checkpoint_dir, checkpoint_name(ds.cfg, ds.link))
     save_checkpoint(model, out)
     if args.history:
         history.to_csv(args.history)
@@ -112,8 +111,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, _, _ = _load_run(args)
+    check_counts(trials=args.trials)
     model = load_checkpoint(args.checkpoint)
-    model.eval_mode()
     score = evaluate(model, cfg, args.link, args.trials, np.random.default_rng(cfg.seed))
     print(
         f"link={args.link} nmse={score.value:.6g} ({score.to_db():+.2f} dB) "
@@ -124,6 +123,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, plan, opts = _load_run(args)
+    check_counts(train_k=args.train_k)
     plan = replace(plan, **{k: getattr(args, k) for k in ("trials", "out") if getattr(args, k) is not None})
     hyper = _hyper_from(args, cfg.ma, cfg.mb, pilots_for_link(cfg, LINK_DIRECT))
     report = run_sweep(
@@ -146,7 +146,6 @@ def cmd_analyze(args) -> int:
     cfg, _, _ = _load_run(args)
     model = load_checkpoint(args.checkpoint)
     model.analysis = True
-    model.eval_mode()
     learned = extract_effective_map(model)
     p = pilots_for_link(cfg, args.link)
     r_x = column_correlation(link_correlation(cfg, args.link), cfg.ma, cfg.mb)

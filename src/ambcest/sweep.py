@@ -9,13 +9,13 @@ gaps.  Rows are emitted in plan order with a stable CSV schema.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .channel import (
     LINKS,
     SystemConfig,
+    check_counts,
     link_correlation,
     pilots_for_link,
     simulate_batch,
@@ -53,6 +53,7 @@ class ExperimentPlan:
             if any(int(v) != v or v < 1 for v in self.values):
                 raise ParameterError("pilot counts must be positive integers")
             object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+            check_counts(values=max(self.values))
         else:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.methods or any(m not in METHODS for m in self.methods):
@@ -61,6 +62,7 @@ class ExperimentPlan:
             raise ParameterError(f"links must be a non-empty subset of {LINKS}")
         if self.trials < 100:
             raise ParameterError("trials must be >= 100 for meaningful half-widths")
+        check_counts(trials=self.trials)
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "links", tuple(self.links))
 
@@ -96,9 +98,9 @@ class NmseReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def checkpoint_name(link: str, snr_db: float, pilots: int) -> str:
-    """Per-operating-point checkpoint file name convention."""
-    return f"crld_{link}_snr{snr_db:+g}dB_p{pilots}.ckpt"
+def checkpoint_name(cfg: SystemConfig, link: str) -> str:
+    """Per-operating-point checkpoint file name: the link, cfg's SNR and the link's pilot count."""
+    return f"crld_{link}_snr{cfg.snr_db:+g}dB_p{pilots_for_link(cfg, link)}.ckpt"
 
 
 def point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
@@ -111,7 +113,7 @@ def point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:
 def _crld_model(
     cfg: SystemConfig,
     link: str,
-    seed: int,
+    seed: np.random.SeedSequence,
     *,
     checkpoint_dir: str,
     train_missing: bool,
@@ -119,27 +121,27 @@ def _crld_model(
     train_opts: TrainOptions,
     train_k: int,
 ) -> ResidualDenoiser:
-    p = pilots_for_link(cfg, link)
-    path = os.path.join(checkpoint_dir, checkpoint_name(link, cfg.snr_db, p))
-    hyper = replace(hyper, ma=cfg.ma, mb=cfg.mb, pilots=p)
+    """One point's eval-mode CRLD net: its checkpoint, or with train_missing a net trained
+    on a dataset drawn from the point's seed and saved under the checkpoint's name."""
+    path = os.path.join(checkpoint_dir, checkpoint_name(cfg, link))
+    hyper = replace(hyper, ma=cfg.ma, mb=cfg.mb, pilots=pilots_for_link(cfg, link))
     if os.path.exists(path):
         model = load_checkpoint(path)
         if model.hyper != hyper:
             raise ArtifactError(
                 f"{path} holds a net of shape {model.hyper}, not the requested {hyper}"
             )
-        model.eval_mode()
         return model
     if not train_missing:
         raise ArtifactError(
             f"no trained model at {path}; train one first or pass --train"
         )
-    ds = generate_dataset(cfg, link, train_k, seed=seed)
-    model = build_model(hyper, rng=seed)
+    train_seed = int(seed.generate_state(2, dtype=np.uint32)[1])
+    ds = generate_dataset(cfg, link, train_k, seed=train_seed)
+    model = build_model(hyper, rng=train_seed)
     model, _ = train(model, ds, train_opts)
     os.makedirs(checkpoint_dir, exist_ok=True)
     save_checkpoint(model, path)
-    model.eval_mode()
     return model
 
 
@@ -149,15 +151,13 @@ def _score_point(
     methods: tuple,
     trials: int,
     seed: np.random.SeedSequence,
-    crld_model,
+    model: ResidualDenoiser | None,
 ) -> list:
+    """One point's rows; `model` is the eval-mode CRLD net, or None when crld is not scored."""
     rng = np.random.default_rng(seed)
     p = pilots_for_link(cfg, link)
     y, x = simulate_batch(cfg, link, trials, rng)
     x_vec = x.reshape(trials, -1)
-    if "crld" in methods:
-        train_seed = int(seed.generate_state(2, dtype=np.uint32)[1])
-        model = crld_model(cfg, link, train_seed)
     if "ls" in methods or "mmse" in methods:
         ls = ls_estimate(y)  # the LS row and MMSE's P-sample mean
     rows = []
@@ -191,8 +191,8 @@ def run_sweep(
     seed: int = 0,
     checkpoint_dir: str = "checkpoints",
     train_missing: bool = False,
-    hyper: DenoiserHyper | None = None,
-    train_opts: TrainOptions | None = None,
+    hyper: DenoiserHyper = DenoiserHyper(),
+    train_opts: TrainOptions = TrainOptions(),
     train_k: int = 50_000,
     workers: int = 1,
 ) -> NmseReport:
@@ -205,15 +205,15 @@ def run_sweep(
         raise ParameterError(f"workers must be >= 1, got {workers}")
     points = [(link, v) for link in plan.links for v in plan.values]
     seeds = np.random.SeedSequence(seed).spawn(len(points))
-    crld_model = partial(
-        _crld_model, checkpoint_dir=checkpoint_dir, train_missing=train_missing,
-        hyper=hyper or DenoiserHyper(), train_opts=train_opts or TrainOptions(), train_k=train_k,
-    )
 
     def job(args):
         (link, value), ss = args
         cfg_point = point_config(cfg, plan.axis, value)
-        return _score_point(cfg_point, link, plan.methods, plan.trials, ss, crld_model)
+        model = None
+        if "crld" in plan.methods:
+            model = _crld_model(cfg_point, link, ss, checkpoint_dir=checkpoint_dir, train_missing=train_missing,
+                                hyper=hyper, train_opts=train_opts, train_k=train_k)
+        return _score_point(cfg_point, link, plan.methods, plan.trials, ss, model)
 
     tasks = list(zip(points, seeds))
     if workers > 1:

@@ -8,6 +8,7 @@ network on fresh draws and scores it with the batch NMSE metric.
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,35 +50,45 @@ class TrainOptions:
         make_optimizer(self.optimizer, self.learning_rate, self.momentum)  # fail fast
 
 
+class EpochRecord(NamedTuple):
+    """One epoch of the offline phase; is_best marks a strict validation improvement."""
+
+    epoch: int
+    train_loss: float
+    val_loss: float
+    is_best: bool
+
+
 @dataclass
 class TrainHistory:
-    """Per-epoch record of the offline phase."""
+    """What `train` keeps as it runs: the validation loss before the first epoch, then one
+    record per epoch.  The best and stopping epochs and the best loss are read from the
+    records; best_epoch is 0 when no epoch beat the initial model."""
 
-    epochs: list = field(default_factory=list)
-    train_loss: list = field(default_factory=list)
-    val_loss: list = field(default_factory=list)
-    is_best: list = field(default_factory=list)
     initial_val_loss: float = float("nan")
-    best_epoch: int = 0
-    stopped_epoch: int = 0
+    records: list[EpochRecord] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.epochs)
+        return len(self.records)
+
+    @property
+    def best_epoch(self) -> int:
+        return max((r.epoch for r in self.records if r.is_best), default=0)
 
     @property
     def best_val_loss(self) -> float:
-        if not self.val_loss:
-            return self.initial_val_loss
-        return min(min(self.val_loss), self.initial_val_loss)
+        return min([self.initial_val_loss, *(r.val_loss for r in self.records)])
+
+    @property
+    def stopped_epoch(self) -> int:
+        return len(self.records)  # epochs count from 1
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss", "is_best"])
-            for e, tr, va, best in zip(
-                self.epochs, self.train_loss, self.val_loss, self.is_best
-            ):
-                writer.writerow([e, repr(tr), repr(va), int(best)])
+            writer.writerow(EpochRecord._fields)
+            for r in self.records:
+                writer.writerow([r.epoch, repr(r.train_loss), repr(r.val_loss), int(r.is_best)])
 
 
 def _split_indices(k: int, val_fraction: float, rng: np.random.Generator):
@@ -97,10 +108,20 @@ def _mean_loss(model: ResidualDenoiser, y: np.ndarray, x: np.ndarray) -> float:
     return loss / y.shape[0]
 
 
+def _validation_loss(model: ResidualDenoiser, y: np.ndarray, x: np.ndarray, when: str) -> float:
+    """Switch to eval mode and score the validation split; a numeric failure names `when`."""
+    model.eval_mode()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the loss's finite check reports it
+            return _mean_loss(model, y, x)
+    except NumericError as exc:
+        raise NumericError(f"{when} validation: {exc}{_blame(model)}") from exc
+
+
 def train(
     model: ResidualDenoiser, ds: Dataset, opts: TrainOptions
 ) -> tuple[ResidualDenoiser, TrainHistory]:
-    """Fit the denoiser on a dataset; returns (best-validation model, history).
+    """Fit the denoiser on a dataset; returns (best-validation model in eval mode, history).
 
     Stops after `patience` epochs without a strict validation improvement or at
     max_epochs, whichever comes first.  Non-finite losses abort with a diagnostic
@@ -126,16 +147,8 @@ def train(
     optimizer = make_optimizer(
         opts.optimizer, learning_rate=opts.learning_rate, momentum=opts.momentum
     )
-    history = TrainHistory()
-
-    model.eval_mode()
-    try:
-        best_val = _mean_loss(model, y_va, x_va)
-    except NumericError as exc:
-        raise NumericError(f"initial validation: {exc}{_blame(model)}") from exc
-    history.initial_val_loss = best_val
+    history = TrainHistory(initial_val_loss=_validation_loss(model, y_va, x_va, "initial"))
     best_state = model.state_dict()
-    stale = 0
 
     for epoch in range(1, opts.max_epochs + 1):
         model.train_mode()
@@ -149,33 +162,19 @@ def train(
                     pred = model.forward(y_tr[sel])
                     loss, grad = mse_loss(pred, x_tr[sel])
                     model.backward(grad / len(sel))
-                optimizer.step(model.named_parameters(), model.named_gradients())
+                    optimizer.step(model.named_parameters(), model.named_gradients())
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {bi}: {exc}{_blame(model)}") from exc
             epoch_loss += loss
-        model.eval_mode()
-        try:
-            val = _mean_loss(model, y_va, x_va)
-        except NumericError as exc:
-            raise NumericError(f"epoch {epoch} validation: {exc}{_blame(model)}") from exc
-        improved = val < best_val
+        val = _validation_loss(model, y_va, x_va, f"epoch {epoch}")
+        improved = val < history.best_val_loss
         if improved:
-            best_val = val
             best_state = model.state_dict()
-            history.best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-        history.epochs.append(epoch)
-        history.train_loss.append(epoch_loss / len(train_idx))
-        history.val_loss.append(val)
-        history.is_best.append(improved)
-        history.stopped_epoch = epoch
-        if stale >= opts.patience:
+        history.records.append(EpochRecord(epoch, epoch_loss / len(train_idx), val, improved))
+        if epoch - history.best_epoch >= opts.patience:
             break
 
-    model.load_state_dict(best_state)
-    model.eval_mode()
+    model.load_state_dict(best_state)  # still in eval mode from the last validation
     return model, history
 
 

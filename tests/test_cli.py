@@ -1,10 +1,19 @@
 """Command-line tests: end-to-end subcommand flows and exit-code contracts."""
 
+import contextlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ambcest import load_checkpoint, load_dataset
 from ambcest.cli import main
+from ambcest.config import _KEYS
 
 SMALL_SYSTEM = "m=16\nma=4\nmb=4\ncorr_model=identity\nrho=0.0\nsnr_db=0\nzeta_db=-inf\n"
 FAST_TRAIN = "batch_size=64\nmax_epochs=2\npatience=2\n"
@@ -260,6 +269,44 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
         assert not out.exists()
 
+    def test_seed_wider_than_the_header_field_is_refused_before_the_draw(self, tmp_path, capsys, monkeypatch):
+        def draw(*args, **kwargs):
+            pytest.fail("gen-data simulated a dataset it cannot save")
+
+        monkeypatch.setattr("ambcest.dataset.simulate_batch", draw)
+        out = tmp_path / "data.ambd"
+        assert main(["gen-data", "--k", "16", "--out", str(out), "--seed", str(2**32)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
+        assert not out.exists()
+
+    # numpy refuses an array of 2**64 elements before it allocates anything; a count just
+    # under 2**32 would allocate, so only 2**64 is tried
+    @pytest.mark.parametrize("key, line, command", [
+        ("m", "m=BIG", ["gen-data", "--k", "1"]),
+        ("ma", "ma=BIG", ["gen-data", "--k", "1"]),
+        ("mb", "mb=BIG", ["gen-data", "--k", "1"]),
+        ("na", "na=BIG", ["gen-data", "--k", "1"]),
+        ("nb", "nb=BIG", ["gen-data", "--k", "1", "--link", "composite"]),
+        ("values", "axis=pilots\nvalues=BIG", ["sweep"]),
+        ("trials", "trials=BIG", ["sweep"]),
+        ("k", "", ["gen-data", "--k", "BIG"]),
+        ("trials", "", ["eval", "--trials", "BIG"]),
+        ("train_k", "methods=crld", ["sweep", "--train", "--train-k", "BIG"]),
+    ], ids=["m", "ma", "mb", "na", "nb", "values", "trials", "--k", "eval--trials", "--train-k"])
+    def test_count_at_2_64_is_2_and_named(self, tmp_path, capsys, key, line, command):
+        big = str(2**64)
+        conf = tmp_path / "big.conf"
+        conf.write_text(SMALL_SYSTEM + line.replace("BIG", big) + "\n")
+        out = tmp_path / "out"
+        paths = {"gen-data": ["--out", str(out)], "eval": ["--checkpoint", str(out)],
+                 "sweep": ["--out", str(out), "--checkpoint-dir", str(tmp_path / "ck")]}
+        argv = [a.replace("BIG", big) for a in command] + paths[command[0]]
+        assert main(argv + ["--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and f"{key}={big}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.conf"]
+
     @pytest.mark.parametrize("line", ["learning_rate=nan", "learning_rate=inf", "optimizer=foo", "momentum=1.5"])
     def test_bad_optimizer_setting_is_2_before_training(self, tmp_path, config, capsys, line):
         data = gen_small_dataset(tmp_path, config)
@@ -305,3 +352,50 @@ class TestExitCodes:
         code = main(["eval", "--checkpoint", ckpt, "--trials", "200"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+# every key whose value is a number (values is a list of them), set to each extreme
+NUMERIC_KEYS = [key for key, (_, _, cast) in _KEYS.items() if cast in (int, float)] + ["values"]
+EXTREMES = [-1, 0, 1e308, -1e308, float("inf"), float("-inf"), float("nan"), 2**64, 1e-320]
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "tiny.ambd"
+    conf = path.with_suffix(".conf")
+    conf.write_text(SMALL_SYSTEM)
+    assert main(["gen-data", "--config", str(conf), "--k", "32", "--out", str(path)]) == 0
+    return str(path)
+
+
+class TestExitCodeContract:
+    # 459 combinations, most refused at parse time; the whole run takes seconds
+    @settings(max_examples=500)
+    @given(key=st.sampled_from(NUMERIC_KEYS), value=st.sampled_from(EXTREMES),
+           command=st.sampled_from(["gen-data", "train", "sweep"]))
+    @example(key="na", value=2**64, command="gen-data")
+    @example(key="trials", value=2**64, command="sweep")
+    @example(key="learning_rate", value=1e308, command="train")  # diverges: exit 4
+    def test_one_extreme_key_ends_in_a_documented_exit_code(self, tiny_dataset, key, value, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            conf = tmp / "run.conf"
+            conf.write_text(SMALL_SYSTEM + "max_epochs=1\npatience=1\nvalues=0\ntrials=100\n"
+                            f"{key}={value}\n")
+            argv = {
+                "gen-data": ["gen-data", "--k", "16", "--out", str(tmp / "data.ambd")],
+                "train": ["train", "--data", tiny_dataset, "--out", str(tmp / "m.ckpt")] + TINY_NET,
+                "sweep": ["sweep", "--out", str(tmp / "report.csv"), "--checkpoint-dir", str(tmp),
+                          "--workers", "1"],
+            }[command]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main(argv + ["--config", str(conf)])  # an exception here is a traceback
+        assert code in (0, 2, 3, 4)
+        # a warning would print on stderr too when the command runs as a process
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert not any("Traceback" in line for line in lines)
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines

@@ -69,8 +69,9 @@ class TestPointConfig:
 
 class TestCheckpointName:
     def test_encodes_the_operating_point(self):
-        assert checkpoint_name("direct", -6.0, 2) == "crld_direct_snr-6dB_p2.ckpt"
-        assert checkpoint_name("composite", 4.0, 16) == "crld_composite_snr+4dB_p16.ckpt"
+        assert checkpoint_name(SystemConfig(), "direct") == "crld_direct_snr-6dB_p2.ckpt"
+        cfg = SystemConfig(snr_db=4.0, nb=16)
+        assert checkpoint_name(cfg, "composite") == "crld_composite_snr+4dB_p16.ckpt"
 
 
 class TestRunSweep:

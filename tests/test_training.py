@@ -85,13 +85,14 @@ class TestTrain:
             build_model(SMALL, rng=0), ds, TrainOptions(batch_size=64, max_epochs=5, patience=5)
         )
         n = len(hist)
-        assert hist.epochs == list(range(1, n + 1))
-        assert len(hist.train_loss) == len(hist.val_loss) == len(hist.is_best) == n
+        assert [r.epoch for r in hist.records] == list(range(1, n + 1))
         assert hist.stopped_epoch == n
-        if any(hist.is_best):
-            last_best = max(i for i, b in enumerate(hist.is_best) if b) + 1
-            assert hist.best_epoch == last_best
-            assert hist.best_val_loss == min(hist.val_loss)
+        best, best_epoch = hist.initial_val_loss, 0
+        for r in hist.records:  # is_best marks a strict improvement on every earlier loss
+            assert r.is_best == (r.val_loss < best)
+            if r.is_best:
+                best, best_epoch = r.val_loss, r.epoch
+        assert (hist.best_epoch, hist.best_val_loss) == (best_epoch, best)
 
     def test_parameters_gradients_and_stats_stay_float64(self):
         # train() computes in float32; the master copies it updates must stay float64
@@ -128,7 +129,7 @@ class TestTrain:
         opts = TrainOptions(batch_size=32, max_epochs=3, patience=3, seed=5)
         m1, h1 = train(build_model(SMALL, rng=1), ds, opts)
         m2, h2 = train(build_model(SMALL, rng=1), ds, opts)
-        assert h1.val_loss == h2.val_loss and h1.train_loss == h2.train_loss
+        assert h1.records == h2.records
         p1, p2 = m1.named_parameters(), m2.named_parameters()
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
 
@@ -172,9 +173,7 @@ class TestHistoryCsv:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_loss", "is_best"]
         assert len(rows) == len(hist) + 1
-        for row, epoch, tr, va, best in zip(
-            rows[1:], hist.epochs, hist.train_loss, hist.val_loss, hist.is_best
-        ):
+        for row, (epoch, tr, va, best) in zip(rows[1:], hist.records):
             assert int(row[0]) == epoch
             assert float(row[1]) == tr and float(row[2]) == va
             assert row[3] == str(int(best))
