@@ -19,7 +19,6 @@ from .config import parse_config
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .errors import (
     AmbcestError,
-    ConfigError,
     FormatError,
     NumericError,
 )
@@ -234,17 +233,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FormatError, OSError) as exc:  # OSError includes ArtifactError
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except AmbcestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AmbcestError, MemoryError) as exc:  # a count below 2**32 can still need more memory than the host has
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

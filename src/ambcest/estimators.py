@@ -210,13 +210,18 @@ class NmseEstimate:
         return 10.0 * np.log10(self.value)
 
 
-def nmse(truth: np.ndarray, estimates: np.ndarray) -> NmseEstimate:
+def _trial_energies(a: np.ndarray) -> np.ndarray:  # per-trial squared norms of a float64 (n, M) array
+    return np.einsum("ij,ij->i", a, a)
+
+
+def nmse(truth: np.ndarray, estimates: np.ndarray, *, truth_energies: np.ndarray | None = None) -> NmseEstimate:
     """Batch NMSE: sum ||x - x_hat||^2 / sum ||x||^2 over the trial axis (axis 0).
 
     The confidence half-width comes from batch means: the trials are split into
     NMSE_CI_BATCHES contiguous groups, the per-group NMSEs feed a t-interval.  NaN when
     fewer than two groups are available.  A non-finite NMSE (NaN or inf in the truth or
-    the estimates, or an overflowing sum) raises NumericError.
+    the estimates, or an overflowing sum) raises NumericError.  `truth_energies`, the
+    _trial_energies of the truth, saves that pass when several estimates share one truth.
     """
     truth = np.asarray(truth, dtype=np.float64)
     estimates = np.asarray(estimates, dtype=np.float64)
@@ -225,10 +230,10 @@ def nmse(truth: np.ndarray, estimates: np.ndarray) -> NmseEstimate:
     if truth.ndim < 1 or truth.shape[0] < 1:
         raise ParameterError("need a non-empty batch of trials")
     n = truth.shape[0]
-    err = (truth - estimates).reshape(n, -1)
-    ref = truth.reshape(n, -1)
-    num = np.einsum("ij,ij->i", err, err)
-    den = np.einsum("ij,ij->i", ref, ref)
+    num = _trial_energies((truth - estimates).reshape(n, -1))
+    den = _trial_energies(truth.reshape(n, -1)) if truth_energies is None else truth_energies
+    if den.shape != (n,):
+        raise ShapeError(f"truth_energies shape {den.shape} != ({n},)")
     total_den = den.sum()
     if total_den == 0.0:
         raise MetricError("NMSE is undefined for an all-zero truth batch")

@@ -1,9 +1,11 @@
 """Dense-tensor NN layers with exact reverse-mode gradients.
 
 All tensors are channels-last numpy arrays, and Conv2D and BatchNorm2D take only a batch
-(N, H, W, C), as does ResidualDenoiser, which builds on them.  Each layer caches
-what its backward pass needs on forward; backward consumes the cache of the most recent
-forward.
+(N, H, W, C), as does ResidualDenoiser, which builds on them.  Each layer caches what its
+backward pass needs on forward; backward consumes the cache of the most recent forward.
+A Conv2D output (forward's and backward's) is an (N, H, W, C) view of spatial-major
+(H, W, N, C) memory.  BN and ReLU keep their input's memory order, so the next conv
+reads it in place.  No layer relies on C-contiguity.
 
 The compute dtype follows the input: a float32 input is computed in float32, anything else
 in float64.  Backward runs in the dtype of the forward it follows.  Parameters and batch
@@ -17,12 +19,6 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 
 
-def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"non-finite values in {what}")
-    return x
-
-
 def _as_compute(x: np.ndarray) -> np.ndarray:
     """x as an array of its compute dtype: float32 stays float32, anything else is float64."""
     x = np.asarray(x)
@@ -33,18 +29,23 @@ def _as_compute(x: np.ndarray) -> np.ndarray:
 _SUM_BLOCK = 256
 
 
+def _spatial_major(x: np.ndarray) -> np.ndarray:
+    """x (N, H, W, C) as a C-contiguous (H, W, N, C) array: a view if x's memory is in that order, else a copy."""
+    return np.ascontiguousarray(x.transpose(1, 2, 0, 3))
+
+
 def _channel_sum(x: np.ndarray) -> np.ndarray:
-    """Per-channel float64 sum of a channels-last array over every axis but the last.
+    """Per-channel float64 sum of a batch x (N, H, W, C) over (N, H, W).
 
     float32 input is summed in blocks of _SUM_BLOCK rows, one sgemv-shaped product with a
-    ones vector per block, and the block sums are added in float64; the leftover rows
-    go through numpy's sum.  A numpy sum over all but the last axis runs one short inner
-    loop per row, about 20x slower at (128, 8, 8, 16).  Anything else keeps numpy's sum.
+    ones vector per block (rows in x's memory order), and the block sums are added in
+    float64; the leftover rows go through numpy's sum.  A numpy sum over all but the last
+    axis runs one short inner loop per row, about 20x slower at (128, 8, 8, 16).
+    Anything else keeps numpy's sum.
     """
-    axes = tuple(range(x.ndim - 1))
     if x.dtype != np.float32:
-        return x.sum(axis=axes, dtype=np.float64)
-    rows = x.reshape(-1, x.shape[-1])
+        return x.sum(axis=(0, 1, 2), dtype=np.float64)
+    rows = (x if x.flags.c_contiguous else _spatial_major(x)).reshape(-1, x.shape[-1])
     whole = rows.shape[0] - rows.shape[0] % _SUM_BLOCK
     total = rows[whole:].sum(axis=0, dtype=np.float64)
     if whole:
@@ -70,56 +71,53 @@ _BLOCK_BYTES = 1 << 19
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padded stride-1 convolution of a batch x (N, H, W, C) with filters w (K, k, k, C)
-    and bias b (K,), both of x's dtype.  Returns (out, cols): out is (N, H, W, K), and
-    cols the copy of x that the layout built, which Conv2D.backward reads for grad_w.
+    and bias b (K,), both of x's dtype.  Returns (out, cols): out is an (N, H, W, K)
+    view of spatial-major (H, W, N, K) memory, and cols the rows Conv2D.backward reads.
 
-    A shallow input (k*k*C <= _IM2COL_DEPTH, or k = 1) takes one im2col GEMM: cols is the
-    (N*H*W, C*k*k) window matrix, or x itself when k = 1.  Any other input is copied once
-    into an H-padded spatial-major array cols (H+2p, W, N, C).  Output rows are then
-    (y, x, n), and tap (dy, dx) reads the contiguous rows of cols from row dy*W*N on:
-    each tap is one GEMM with no window copy, added into the output shifted by dx - p
-    columns.  The taps run over blocks of output rows, so a tap's product is added while
-    it is still in cache, and the sum is transposed back to (N, H, W, K) once.
+    Rows run in spatial-major (y, x, n) order; x is read in place when its memory is in
+    that order, as a conv output is, and copied once otherwise.  A shallow input
+    (k*k*C <= _IM2COL_DEPTH, or k = 1) takes one im2col GEMM: cols is the window matrix
+    of the padded input, or its rows when k = 1.  Any other input takes one GEMM per tap
+    over cols, the spatial-major x (H, W, N, C): tap (dy, dx) reads the contiguous rows
+    whose source row y + dy - p lies on the grid, and its product is added into the
+    output shifted by dx - p columns.  The taps run over blocks of output rows, so a
+    tap's product is added while it is still in cache.
     """
     n, h, wd, c = x.shape
     k_out, k = w.shape[0], w.shape[1]
     p = k // 2
+    x_sm = _spatial_major(x)
     if k == 1 or k * k * c <= _IM2COL_DEPTH:
+        x_pad = x_sm
         if p:
-            x_pad = np.zeros((n, h + 2 * p, wd + 2 * p, c), dtype=x.dtype)
-            x_pad[:, p : p + h, p : p + wd, :] = x
-            windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(1, 2))
-            cols = windows.reshape(n * h * wd, c * k * k)
-        else:
-            cols = x.reshape(n * h * wd, c)
-        out = cols @ w.transpose(0, 3, 1, 2).reshape(k_out, c * k * k).T
-        out += b
-        return out.reshape(n, h, wd, k_out), cols
-    cols = np.empty((h + 2 * p, wd, n, c), dtype=x.dtype)
-    cols[:p] = 0
-    cols[p + h :] = 0
-    cols[p : p + h] = x.transpose(1, 2, 0, 3)
-    rows, taps = cols.reshape(-1, c), w.transpose(1, 2, 3, 0)
-    step = wd * n
-    acc = np.empty((h, wd, n, k_out), dtype=x.dtype)
-    block = max(1, _BLOCK_BYTES // (step * k_out * x.itemsize))  # output rows y per block
-    tmp = np.empty((min(h, block) * step, k_out), dtype=x.dtype)
-    # the centre tap covers every output and starts the sum; a shift of W or more adds nothing
-    shifted = [(dy, dx) for dy in range(k) for dx in range(k) if (dy, dx) != (p, p) and abs(dx - p) < wd]
-    for y0 in range(0, h, block):
-        y1 = min(h, y0 + block)
-        acc_rows = acc[y0:y1].reshape(-1, k_out)
-        np.matmul(rows[(y0 + p) * step : (y1 + p) * step], taps[p, p], out=acc_rows)
-        acc_cols = acc_rows.reshape(y1 - y0, wd, n * k_out)
-        prod = tmp[: (y1 - y0) * step]
-        prod_cols = prod.reshape(y1 - y0, wd, n * k_out)
-        for dy, dx in shifted:
-            np.matmul(rows[(y0 + dy) * step : (y1 + dy) * step], taps[dy, dx], out=prod)
-            s = dx - p
-            acc_cols[:, max(0, -s) : wd - max(0, s)] += prod_cols[:, max(0, s) : wd + min(0, s)]
-    out = np.empty((n, h, wd, k_out), dtype=x.dtype)
-    np.add(acc.transpose(2, 0, 1, 3), b, out=out)
-    return out, cols
+            x_pad = np.zeros((h + 2 * p, wd + 2 * p, n, c), dtype=x.dtype)
+            x_pad[p : p + h, p : p + wd] = x_sm
+        windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(0, 1))
+        cols = windows.reshape(h * wd * n, c * k * k)
+        acc = cols @ w.transpose(0, 3, 1, 2).reshape(k_out, c * k * k).T
+    else:
+        cols = x_sm
+        rows, taps = cols.reshape(-1, c), w.transpose(1, 2, 3, 0)
+        step = wd * n
+        acc = np.empty((h * step, k_out), dtype=x.dtype)
+        block = max(1, _BLOCK_BYTES // (step * k_out * x.itemsize))  # output rows y per block
+        tmp = np.empty((min(h, block) * step, k_out), dtype=x.dtype)
+        # the centre tap covers every output and starts the sum; a shift of W or more adds nothing
+        shifted = [(dy, dx) for dy in range(k) for dx in range(k) if (dy, dx) != (p, p) and abs(dx - p) < wd]
+        for y0 in range(0, h, block):
+            y1 = min(h, y0 + block)
+            acc_rows = acc[y0 * step : y1 * step]
+            np.matmul(rows[y0 * step : y1 * step], taps[p, p], out=acc_rows)
+            acc_cols = acc_rows.reshape(y1 - y0, wd, n * k_out)
+            for dy, dx in shifted:
+                t, s = dy - p, dx - p  # output rows [ya, yb) read input rows y + t on the grid
+                ya, yb = max(y0, -t), max(y0, -t, min(y1, h - t))
+                prod = tmp[: (yb - ya) * step]
+                np.matmul(rows[(ya + t) * step : (yb + t) * step], taps[dy, dx], out=prod)
+                prod_cols = prod.reshape(yb - ya, wd, n * k_out)
+                acc_cols[ya - y0 : yb - y0, max(0, -s) : wd - max(0, s)] += prod_cols[:, max(0, s) : wd + min(0, s)]
+    acc += b
+    return acc.reshape(h, wd, n, k_out).transpose(2, 0, 1, 3), cols
 
 
 class Conv2D:
@@ -129,16 +127,18 @@ class Conv2D:
 
     The kernel _conv picks its layout from the shape: one im2col GEMM for a shallow input
     (k*k*C_in <= 32, such as each block's P -> F first conv, or any 1x1 conv), otherwise
-    one GEMM per tap over an H-padded spatial-major copy, with no window copies.  Forward
-    caches only the copy the layout built.
+    one GEMM per tap over the input's spatial-major rows, with no window or padded copy.
+    The output is a view of spatial-major memory, which the next conv, after BN and ReLU,
+    reads in place.  Forward caches only the rows its layout reads, which may share memory
+    with its input.
 
     Backward gets the input gradient from the same kernel: for a same-padded stride-1
     conv it is the conv of grad_out with the flipped, transposed filters
     w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0), whose layout follows K.  grad_w is one
-    GEMM against the cached im2col matrix, or one product per tap against the cached
-    spatial-major copy.  Each layout adds the products in its own order, so float64
-    results agree with the tap-loop formula to rounding (rtol 1e-12).  grad_b is a
-    per-channel sum as in BatchNorm2D: float32 through BLAS, float64 through numpy's sum.
+    GEMM against the cached im2col matrix, or one product per tap between the cached rows
+    and grad_out's over the output rows whose source lies on the grid.  Each layout adds
+    in its own order, so float64 results agree with the tap-loop formula to rounding
+    (rtol 1e-12).  grad_b is a per-channel sum as in BatchNorm2D.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3, *, rng=None):
@@ -181,29 +181,29 @@ class Conv2D:
             )
         w = self.w.astype(cols.dtype, copy=False)
         flipped = w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0)
-        grad_in, g_cols = _conv(grad_out, flipped, np.zeros(c_in, dtype=cols.dtype))
+        grad_in, _ = _conv(grad_out, flipped, np.zeros(c_in, dtype=cols.dtype))
         self.grad_b = _channel_sum(grad_out)
         self.grad_w = np.empty_like(self.w)
+        g_sm = _spatial_major(grad_out)  # no copy for a gradient from the layers above
+        g_rows = g_sm.reshape(-1, k_out)
         if cols.ndim == 2:
-            g_rows = grad_out.reshape(-1, k_out)
             self.grad_w[...] = (g_rows.T @ cols).reshape(k_out, c_in, k, k).transpose(0, 2, 3, 1)
             return grad_in
-        # grad_out spatial-major: the interior of the kernel's own copy when it built one
-        g_sm = g_cols[p : p + h] if g_cols.ndim == 4 else grad_out.transpose(1, 2, 0, 3).copy()
-        rows, span, step = cols.reshape(-1, c_in), h * wd * n, wd * n
+        rows, step = cols.reshape(-1, c_in), wd * n
         for s in range(-p, p + 1):  # tap column dx = p + s reads input column x + s
-            g = g_sm
+            g = g_rows
             if s:
                 # zero grad_out where x + s leaves [0, W): only there does the flat row
                 # offset s*N cross an image-row edge
                 g = g_sm.copy()
                 g[:, slice(max(0, wd - s), None) if s > 0 else slice(0, -s)] = 0
-            g_rows = g.reshape(-1, k_out)
-            lo = max(0, -s) * n
-            hi = max(lo, span - max(0, s) * n)
-            for dy in range(k):
-                off = dy * step + s * n
-                self.grad_w[:, dy, p + s, :] = g_rows[lo:hi].T @ rows[lo + off : hi + off]
+                g = g.reshape(-1, k_out)
+            for t in range(-p, p + 1):  # tap row dy = p + t reads input row y + t
+                # output rows y whose source row y + t lies on the grid
+                lo = max(0, -t) * step + max(0, -s) * n
+                hi = max(lo, (h - max(0, t)) * step - max(0, s) * n)
+                off = t * step + s * n
+                self.grad_w[:, p + t, p + s, :] = g[lo:hi].T @ rows[lo + off : hi + off]
         return grad_in
 
     def named_parameters(self, prefix: str) -> dict:
@@ -383,5 +383,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     diff = pred - target
     with np.errstate(over="ignore"):  # overflow is reported via the finite check below
         loss = float(np.sum(diff * diff, dtype=np.float64))
-    _check_finite(np.asarray(loss), "mse loss")
+    if not np.isfinite(loss):
+        raise NumericError("non-finite values in mse loss")
     return loss, 2.0 * diff

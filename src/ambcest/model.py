@@ -18,8 +18,8 @@ RECON_CONV1X1 = "conv1x1"
 RECON_DENSE = "dense"
 RECON_KINDS = (RECON_CONV1X1, RECON_DENSE)
 
-# examples per chunk in predict(): bounds the activations and the copy of its input
-# that each conv builds (spatial-major or im2col)
+# examples per chunk in predict(): bounds the activations, each conv's spatial-major
+# output, and the im2col matrix or padded copy that a shallow conv builds
 PREDICT_CHUNK = 256
 
 

@@ -3,7 +3,7 @@
 Run `pytest tests/test_acceptance.py -s` to watch the lines as they appear
 (pytest also shows them whenever a criterion fails).  Criteria 7-9 train small
 networks from scratch, carry the `slow` marker and dominate the runtime: the whole
-gate took about 223 s (criterion 7 alone 202 s) on a shared 2-vCPU host with
+gate took about 130 s, most of it criterion 7, on a shared 2-vCPU host with
 OpenBLAS 0.3.31.
 """
 

@@ -280,6 +280,19 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 12.0 GiB for an array", ""])
+    def test_out_of_memory_is_2_with_one_error_line(self, tmp_path, capsys, monkeypatch, message):
+        # the draw raises as numpy does when the host cannot hold the array; nothing is
+        # allocated
+        def draw(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("ambcest.cli.generate_dataset", draw)
+        out = tmp_path / "data.ambd"
+        assert main(["gen-data", "--k", "16", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message or 'out of memory'}\n" and not out.exists()
+
     # numpy refuses an array of 2**64 elements before it allocates anything; a count just
     # under 2**32 would allocate, so only 2**64 is tried
     @pytest.mark.parametrize("key, line, command", [

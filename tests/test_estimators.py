@@ -25,7 +25,7 @@ from ambcest import (
     simulate_batch,
 )
 from ambcest.channel import CorrelationSpec, widen_pilots
-from ambcest.estimators import PAIRWISE_MIN_PILOTS
+from ambcest.estimators import PAIRWISE_MIN_PILOTS, _trial_energies
 from conftest import iid_config
 
 
@@ -276,6 +276,13 @@ class TestNmse:
         y, x = simulate_batch(cfg, "direct", 10_000, np.random.default_rng(7))
         score = nmse(x.reshape(10_000, -1), ls_estimate(y))
         assert abs(score.value - 0.5) < 3 * score.ci_half_width
+
+    def test_given_truth_energies_give_the_same_bits(self, rng):
+        truth = rng.standard_normal((300, 6))
+        est = truth + 0.3 * rng.standard_normal((300, 6))
+        assert nmse(truth, est, truth_energies=_trial_energies(truth)) == nmse(truth, est)
+        with pytest.raises(ShapeError):
+            nmse(truth, est, truth_energies=_trial_energies(truth[:299]))
 
     def test_all_zero_truth_rejected(self):
         with pytest.raises(MetricError):

@@ -18,7 +18,8 @@ from ambcest import (
     grad_check_input,
     mse_loss,
 )
-from ambcest.layers import _conv
+from ambcest import layers
+from ambcest.layers import _channel_sum, _conv
 
 
 def conv_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -357,6 +358,11 @@ def ref_relu(x):
     return np.where(mask, x, 0.0), lambda g: np.where(mask, g, 0.0)
 
 
+def spatial_major_view(a):
+    """An (N, H, W, C) view of a's values held in (H, W, N, C) memory, as a conv returns."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0, 3)).transpose(2, 0, 1, 3)
+
+
 def assert_matches_reference(got, ref, dtype):
     """float64: rtol 1e-12 (atol 1e-12 of max|ref| for entries that cancel to near zero);
     float32: within 1e-5 of max|ref|."""
@@ -402,6 +408,12 @@ class TestAgainstReference:
         pytest.param(5, 3, 4, (3, 7, 9), id="5-3to4-odd-grid"),
         pytest.param(3, 16, 16, (1, 6, 7), id="3-16to16-n1"),
         pytest.param(1, 16, 16, (4, 6, 7), id="1-16to16"),
+        # taps wholly off the grid: a 5x5 kernel on a 2x2 grid, where the dy, dx = +-2 taps
+        # read no row, and a grid of one row, where every dy != p tap reads none (at k=5
+        # some reach further than the grid is tall)
+        pytest.param(5, 16, 16, (3, 2, 2), id="5-16to16-2x2"),
+        pytest.param(3, 16, 16, (4, 1, 7), id="3-16to16-one-row"),
+        pytest.param(5, 16, 16, (4, 1, 7), id="5-16to16-one-row"),
     ])
     def test_conv(self, k, c_in, c_out, shape, dtype, rng):
         conv = Conv2D(c_in, c_out, kernel_size=k, rng=rng)
@@ -410,10 +422,39 @@ class TestAgainstReference:
         g = rng.standard_normal((*shape, c_out)).astype(dtype)
         out, backward = ref_conv(x.astype(np.float64), conv.w, conv.b)
         grad_in, grad_w, grad_b = backward(g.astype(np.float64))
-        assert_matches_reference(conv.forward(x), out, dtype)
-        assert_matches_reference(conv.backward(g), grad_in, dtype)
-        assert_matches_reference(conv.grad_w, grad_w, dtype)
-        assert_matches_reference(conv.grad_b, grad_b, dtype)
+        # a C-contiguous batch, then the same values in a conv output's spatial-major memory
+        for layout in (lambda a: a, spatial_major_view):
+            assert_matches_reference(conv.forward(layout(x)), out, dtype)
+            assert_matches_reference(conv.backward(layout(g)), grad_in, dtype)
+            assert_matches_reference(conv.grad_w, grad_w, dtype)
+            assert_matches_reference(conv.grad_b, grad_b, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    def test_conv_over_blocks_of_output_rows(self, block_rows, dtype, rng, monkeypatch):
+        # the spatial-major taps add in blocks of output rows; small blocks on an odd grid
+        # leave a k=5 tap with no row in some blocks and part of a row range in others
+        shape, k_out = (3, 7, 5), 16
+        row_bytes = shape[0] * shape[2] * k_out * np.dtype(dtype).itemsize
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", block_rows * row_bytes)
+        self.test_conv(5, 16, k_out, shape, dtype, rng)
+
+    def test_conv_reads_another_convs_output_in_place(self, rng):
+        # a conv output is spatial-major, so the next conv caches its rows without a copy
+        first, second = Conv2D(3, 16, rng=rng), Conv2D(16, 16, rng=rng)
+        hidden = first.forward(rng.standard_normal((4, 6, 7, 3)))
+        second.forward(hidden)
+        assert np.shares_memory(second._cache[1], hidden)
+
+    def test_channel_sum_reads_a_spatial_major_view(self, rng):
+        x = rng.standard_normal((8, 8, 8, 5)).astype(np.float32)
+        ref = x.astype(np.float64).sum(axis=(0, 1, 2))
+        view = spatial_major_view(x)
+        assert not view.flags.c_contiguous
+        # rows summed in another order: equal to the C-contiguous copy's sum within the
+        # float32 tolerance, not bit for bit
+        assert_matches_reference(_channel_sum(view), _channel_sum(x), np.float32)
+        assert_matches_reference(_channel_sum(view), ref, np.float32)
 
     @pytest.mark.parametrize("k, c_in, layout", [
         (3, 2, "im2col"), (3, 3, "im2col"), (1, 64, "im2col"), (3, 4, "spatial"), (5, 2, "spatial"),

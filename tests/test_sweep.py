@@ -92,6 +92,25 @@ class TestRunSweep:
         assert run_sweep(plan, iid_config(), seed=0).rows == want
         assert len(calls) == len(plan.values)
 
+    def test_truth_energies_are_summed_once_per_point(self, monkeypatch):
+        import ambcest.sweep as sweep_module
+
+        plan = ExperimentPlan(values=(-6.0, 0.0), methods=("ls", "mmse"), trials=400)
+        real_nmse, real_energies = sweep_module.nmse, sweep_module._trial_energies
+        # each method summing the truth itself, as nmse does when it is given only arrays
+        monkeypatch.setattr(sweep_module, "nmse", lambda truth, est, **_: real_nmse(truth, est))
+        want = run_sweep(plan, iid_config(), seed=0).rows
+        monkeypatch.setattr(sweep_module, "nmse", real_nmse)
+        calls = []
+
+        def counting_energies(a):
+            calls.append(a.shape)
+            return real_energies(a)
+
+        monkeypatch.setattr(sweep_module, "_trial_energies", counting_energies)
+        assert run_sweep(plan, iid_config(), seed=0).rows == want  # bit for bit
+        assert len(calls) == len(plan.values)
+
     def test_rows_come_back_in_plan_order(self):
         plan = ExperimentPlan(values=(-6.0, 0.0), methods=("ls", "mmse"), trials=400)
         report = run_sweep(plan, iid_config(), seed=0)
