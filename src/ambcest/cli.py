@@ -17,11 +17,7 @@ from .channel import LINK_DIRECT, LINKS, SystemConfig, check_counts, link_correl
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import parse_config
 from .dataset import generate_dataset, load_dataset, save_dataset
-from .errors import (
-    AmbcestError,
-    FormatError,
-    NumericError,
-)
+from .errors import AmbcestError, FormatError, NumericError, ParameterError
 from .estimators import MmseContext, column_correlation
 from .model import RECON_KINDS, DenoiserHyper, build_model
 from .sweep import (
@@ -79,6 +75,17 @@ def _hyper_from(args, ma: int, mb: int, pilots: int) -> DenoiserHyper:
     )
 
 
+def _load_for_link(args, cfg: SystemConfig):
+    """The checkpoint at args.checkpoint, refused unless its net reads cfg's (ma, mb) and args.link's P."""
+    model = load_checkpoint(args.checkpoint)
+    hp = model.hyper
+    got, want = (hp.ma, hp.mb, hp.pilots), (cfg.ma, cfg.mb, pilots_for_link(cfg, args.link))
+    if got != want:
+        raise ParameterError(f"checkpoint {args.checkpoint} holds a net for (ma, mb, P) = {got}, "
+                             f"but the config and --link {args.link} give {want}")
+    return model
+
+
 def cmd_gen_data(args) -> int:
     cfg, _, _ = _load_run(args)
     check_counts(k=args.k, seed=cfg.seed)  # both go in u32 header fields: refuse before the draw
@@ -111,7 +118,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, _, _ = _load_run(args)
     check_counts(trials=args.trials)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_for_link(args, cfg)
     score = evaluate(model, cfg, args.link, args.trials, np.random.default_rng(cfg.seed))
     print(
         f"link={args.link} nmse={score.value:.6g} ({score.to_db():+.2f} dB) "
@@ -143,7 +150,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg, _, _ = _load_run(args)
-    model = load_checkpoint(args.checkpoint)
+    model = _load_for_link(args, cfg)
     model.analysis = True
     learned = extract_effective_map(model)
     p = pilots_for_link(cfg, args.link)

@@ -256,10 +256,10 @@ class BatchNorm2D:
 
     Train mode normalizes with the batch moments (population variance) and updates the
     running stats with `momentum`; eval mode applies the stored running stats, which makes
-    it a deterministic per-channel affine map.  Forward centres its input once into an
-    array of its own, normalizes that array in place and caches it as xhat; backward
-    builds the input gradient from one scaled copy of grad_out, with per-channel sums in
-    float64.
+    it a deterministic per-channel affine map.  `eps` and `momentum` are class constants,
+    the same for every batch norm.  Forward centres its input once into an array of its
+    own, normalizes that array in place and caches it as xhat; backward builds the input
+    gradient from one scaled copy of grad_out, with per-channel sums in float64.
 
     For float32 input every per-channel sum (the batch mean and variance, grad_gamma and
     grad_beta) runs as BLAS products over blocks of 256 rows, with the block sums added in
@@ -269,17 +269,13 @@ class BatchNorm2D:
 
     TRAIN = "train"
     EVAL = "eval"
+    eps = 1e-5
+    momentum = 0.1
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         if channels < 1:
             raise ParameterError("channels must be positive")
-        if not (0.0 < momentum < 1.0):
-            raise ParameterError(f"momentum must lie in (0, 1), got {momentum}")
-        if eps <= 0:
-            raise ParameterError("eps must be positive")
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)

@@ -90,8 +90,6 @@ class DenoisingBlock:
             s = conv.forward(s)
             if bn is not None:
                 s = relu.forward(bn.forward(s))
-        if s.shape != y.shape:
-            raise ShapeError(f"block produced shape {s.shape}, expected {y.shape}")
         return y - s, s
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -120,17 +118,17 @@ class ResidualDenoiser:
     # -- mode management -------------------------------------------------
 
     def train_mode(self) -> "ResidualDenoiser":
-        self.mode = "train"
-        for block in self.blocks:
-            for bn in block.bns:
-                bn.mode = BatchNorm2D.TRAIN
-        return self
+        return self._set_mode(BatchNorm2D.TRAIN)
 
     def eval_mode(self) -> "ResidualDenoiser":
-        self.mode = "eval"
+        return self._set_mode(BatchNorm2D.EVAL)
+
+    def _set_mode(self, mode: str) -> "ResidualDenoiser":
+        """Set the model's mode and every batch norm's ("train" or "eval")."""
+        self.mode = mode
         for block in self.blocks:
             for bn in block.bns:
-                bn.mode = BatchNorm2D.EVAL
+                bn.mode = mode
         return self
 
     @property

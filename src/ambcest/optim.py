@@ -34,21 +34,15 @@ class SGDMomentum:
 
 
 class Adam:
-    """Bias-corrected first/second-moment update (standard Adam)."""
+    """Bias-corrected first/second-moment update (standard Adam); betas and eps are class constants."""
 
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    betas = (0.9, 0.999)
+    eps = 1e-8
+
+    def __init__(self, learning_rate: float = 1e-3):
         if not 0.0 < learning_rate < float("inf"):
             raise ParameterError(f"learning_rate must be finite and positive, got {learning_rate}")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ParameterError("betas must lie in [0, 1)")
         self.learning_rate = learning_rate
-        self.betas = betas
-        self.eps = eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step_count = 0

@@ -99,8 +99,8 @@ class NmseReport:
 
 
 def checkpoint_name(cfg: SystemConfig, link: str) -> str:
-    """Per-operating-point checkpoint file name: the link, cfg's SNR and the link's pilot count."""
-    return f"crld_{link}_snr{cfg.snr_db:+g}dB_p{pilots_for_link(cfg, link)}.ckpt"
+    """Per-operating-point checkpoint file name: the link, cfg's SNR (-0 dB as +0) and the link's pilot count."""
+    return f"crld_{link}_snr{cfg.snr_db + 0.0:+g}dB_p{pilots_for_link(cfg, link)}.ckpt"
 
 
 def point_config(cfg: SystemConfig, axis: str, value) -> SystemConfig:

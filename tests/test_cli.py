@@ -366,6 +366,19 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["eval", "--trials", "200"], ["analyze"]])
+    def test_a_checkpoint_for_another_pilot_count_is_named(self, tmp_path, config, capsys, command):
+        data = gen_small_dataset(tmp_path, config)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", config, "--data", data, "--out", ckpt] + TINY_NET) == 0
+        capsys.readouterr()
+        na3 = tmp_path / "na3.conf"
+        na3.write_text(SMALL_SYSTEM + "na=3\n")  # the net reads P=2 pilot slices
+        code = main([command[0], "--config", str(na3), "--checkpoint", ckpt, *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert ckpt in err and "(4, 4, 2)" in err and "(4, 4, 3)" in err
+
 
 # every key whose value is a number (values is a list of them), set to each extreme
 NUMERIC_KEYS = [key for key, (_, _, cast) in _KEYS.items() if cast in (int, float)] + ["values"]

@@ -62,13 +62,18 @@ class TestAdam:
 
     def test_hand_computed_second_step(self):
         params = {"p": np.array([0.0])}
-        opt = Adam(learning_rate=0.1, betas=(0.9, 0.999), eps=0.0)
+        opt = Adam(learning_rate=0.1)
         opt.step(params, {"p": np.array([1.0])})
         opt.step(params, {"p": np.array([2.0])})
+        first = -0.1 * 1.0 / (1.0 + Adam.eps)  # m/bc1 = 1 and sqrt(v/bc2) = 1 after one step
         m = 0.9 * 0.1 + 0.1 * 2.0  # after two raw moment updates
         v = 0.999 * 0.001 + 0.001 * 4.0
-        want = -0.1 - 0.1 * (m / (1 - 0.9**2)) / np.sqrt(v / (1 - 0.999**2))
+        want = first - 0.1 * (m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + Adam.eps)
         assert params["p"][0] == pytest.approx(want, rel=1e-12)
+
+    def test_betas_and_eps_are_class_constants(self):
+        assert (Adam.betas, Adam.eps) == ((0.9, 0.999), 1e-8)
+        assert not {"betas", "eps"} & set(vars(Adam(learning_rate=0.1)))
 
     def test_converges_on_quadratic(self):
         params = {"p": np.array([5.0, -3.0])}
@@ -82,10 +87,6 @@ class TestAdam:
         opt = Adam()
         opt.step(params, {"a": np.ones(2), "b": np.ones(3)})
         assert set(opt.m) == {"a", "b"} and opt.m["b"].shape == (3,)
-
-    def test_bad_betas_rejected(self):
-        with pytest.raises(ParameterError):
-            Adam(betas=(0.9, 1.0))
 
     @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
     def test_learning_rate_must_be_finite_and_positive(self, lr):

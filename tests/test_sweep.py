@@ -73,6 +73,10 @@ class TestCheckpointName:
         cfg = SystemConfig(snr_db=4.0, nb=16)
         assert checkpoint_name(cfg, "composite") == "crld_composite_snr+4dB_p16.ckpt"
 
+    @pytest.mark.parametrize("snr_db", [0.0, -0.0])
+    def test_minus_zero_db_names_the_zero_db_file(self, snr_db):
+        assert checkpoint_name(SystemConfig(snr_db=snr_db), "direct") == "crld_direct_snr+0dB_p2.ckpt"
+
 
 class TestRunSweep:
     @pytest.mark.parametrize("methods", [("ls", "mmse"), ("mmse",), ("mmse", "ls")])
