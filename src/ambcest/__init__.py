@@ -63,72 +63,3 @@ from .sweep import (
     run_sweep,
 )
 from .training import TrainHistory, TrainOptions, evaluate, train
-
-__all__ = [
-    "Adam",
-    "AmbcestError",
-    "ArtifactError",
-    "BatchNorm2D",
-    "ConfigError",
-    "Conv2D",
-    "CorrelationSpec",
-    "Dataset",
-    "Dense",
-    "DenoiserHyper",
-    "DenoisingBlock",
-    "ExperimentPlan",
-    "FormatError",
-    "GradCheckReport",
-    "LINKS",
-    "LINK_COMPOSITE",
-    "LINK_DIRECT",
-    "LinearMap",
-    "MapDistance",
-    "MetricError",
-    "MmseContext",
-    "NmseEstimate",
-    "NmseReport",
-    "NumericError",
-    "ParameterError",
-    "ReLU",
-    "ReportRow",
-    "ResidualDenoiser",
-    "SGDMomentum",
-    "ShapeError",
-    "StateError",
-    "SystemConfig",
-    "TrainHistory",
-    "TrainOptions",
-    "brute_force_conditional_mean",
-    "build_correlation_matrix",
-    "build_model",
-    "column_correlation",
-    "complexity_report",
-    "composite_correlation",
-    "derive_noise_and_alpha",
-    "evaluate",
-    "extract_effective_map",
-    "generate_dataset",
-    "grad_check",
-    "grad_check_input",
-    "link_correlation",
-    "load_checkpoint",
-    "load_dataset",
-    "ls_estimate",
-    "make_optimizer",
-    "map_distance",
-    "matrix_mmse_map",
-    "matrix_mmse_weights",
-    "mmse_estimate_matrix",
-    "mmse_estimate_vector",
-    "mmse_gain",
-    "mmse_weight_target",
-    "mse_loss",
-    "nmse",
-    "run_sweep",
-    "sample_gaussian_vector",
-    "save_checkpoint",
-    "save_dataset",
-    "simulate_batch",
-    "train",
-]

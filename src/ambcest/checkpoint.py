@@ -49,7 +49,9 @@ def load_checkpoint(path: str | Path) -> ResidualDenoiser:
     """Reconstruct a model from a checkpoint file, in eval mode and ready to score.
 
     The CRC covers the header, so a corrupted header is reported as a corrupt file
-    before any of its fields sizes a model.
+    before any of its fields sizes a model.  The payload size is then checked against
+    the header's closed-form state size before any model is built, so a small file
+    whose header claims a huge net allocates nothing.
     """
     fields, payload = read_artifact(path, MAGIC, _HEADER, VERSION, "checkpoint")
     b, l, f, ma, mb, p, k, recon_code = fields
@@ -62,13 +64,12 @@ def load_checkpoint(path: str | Path) -> ResidualDenoiser:
         )
     except ParameterError as exc:
         raise FormatError(f"checkpoint {path} has an invalid header: {exc}") from exc
+    if payload.size != hyper.state_size:
+        raise FormatError(
+            f"checkpoint {path} holds {payload.size} floats, expected {hyper.state_size} for this header"
+        )
     model = ResidualDenoiser(hyper, rng=None)  # zero-initialized slots, filled below
     slots = {**model.named_parameters(), **model.named_running_stats()}
-    sizes = [arr.size for arr in slots.values()]
-    if payload.size != sum(sizes):
-        raise FormatError(
-            f"checkpoint {path} holds {payload.size} floats, expected {sum(sizes)} for this header"
-        )
-    parts = np.split(payload, np.cumsum(sizes)[:-1])
+    parts = np.split(payload, np.cumsum([arr.size for arr in slots.values()])[:-1])
     model.load_state_dict({name: part.reshape(arr.shape) for (name, arr), part in zip(slots.items(), parts)})
     return model.eval_mode()

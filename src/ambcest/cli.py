@@ -63,6 +63,8 @@ def _load_run(args) -> tuple:
 
 
 def _hyper_from(args, ma: int, mb: int, pilots: int) -> DenoiserHyper:
+    check_counts(**{"--blocks": args.blocks, "--layers-per-block": args.layers_per_block,
+                    "--filters": args.filters, "--kernel-size": args.kernel_size})
     return DenoiserHyper(
         blocks=args.blocks,
         layers_per_block=args.layers_per_block,

@@ -120,7 +120,25 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     return acc.reshape(h, wd, n, k_out).transpose(2, 0, 1, 3), cols
 
 
-class Conv2D:
+class _Stateful:
+    """State naming shared by the layers: `params` names the trainable arrays, each with
+    its gradient in `grad_<name>`, and `stats` the running statistics.  Every dict is
+    keyed `<prefix>.<name>` in declared order and holds the live arrays."""
+
+    params: tuple[str, ...] = ()
+    stats: tuple[str, ...] = ()
+
+    def named_parameters(self, prefix: str) -> dict:
+        return {f"{prefix}.{name}": getattr(self, name) for name in self.params}
+
+    def named_gradients(self, prefix: str) -> dict:
+        return {f"{prefix}.{name}": getattr(self, f"grad_{name}") for name in self.params}
+
+    def running_stats(self, prefix: str) -> dict:
+        return {f"{prefix}.{name}": getattr(self, name) for name in self.stats}
+
+
+class Conv2D(_Stateful):
     """Same-padded stride-1 convolution, filters (K, kh, kw, C_in), zero padding.
 
     out[y, x, k] = b[k] + sum_{dy,dx,c} w[k, dy, dx, c] * padded_in[y+dy, x+dx, c]
@@ -140,6 +158,8 @@ class Conv2D:
     in its own order, so float64 results agree with the tap-loop formula to rounding
     (rtol 1e-12).  grad_b is a per-channel sum as in BatchNorm2D.
     """
+
+    params = ("w", "b")
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3, *, rng=None):
         if kernel_size < 1 or kernel_size % 2 == 0:
@@ -206,15 +226,11 @@ class Conv2D:
                 self.grad_w[:, p + t, p + s, :] = g[lo:hi].T @ rows[lo + off : hi + off]
         return grad_in
 
-    def named_parameters(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-    def named_gradients(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.grad_w, f"{prefix}.b": self.grad_b}
-
-
-class Dense:
+class Dense(_Stateful):
     """Full affine map on flattened inputs; used only by the dense reconstruction variant."""
+
+    params = ("w", "b")
 
     def __init__(self, in_features: int, out_features: int, *, rng=None):
         if rng is None:
@@ -244,14 +260,8 @@ class Dense:
         self.grad_b = grad_out.sum(axis=0, dtype=np.float64)
         return grad_out @ self.w.astype(grad_out.dtype, copy=False)
 
-    def named_parameters(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-    def named_gradients(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.grad_w, f"{prefix}.b": self.grad_b}
-
-
-class BatchNorm2D:
+class BatchNorm2D(_Stateful):
     """Per-channel batch normalization over (N, H, W) with running statistics.
 
     Train mode normalizes with the batch moments (population variance) and updates the
@@ -269,6 +279,8 @@ class BatchNorm2D:
 
     TRAIN = "train"
     EVAL = "eval"
+    params = ("gamma", "beta")
+    stats = ("running_mean", "running_var")
     eps = 1e-5
     momentum = 0.1
 
@@ -331,15 +343,6 @@ class BatchNorm2D:
             grad_in -= (scale * self.grad_beta / m).astype(dt, copy=False)
             grad_in -= np.multiply(xhat, (scale * self.grad_gamma / m).astype(dt, copy=False), out=prod)
         return grad_in
-
-    def named_parameters(self, prefix: str) -> dict:
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
-
-    def named_gradients(self, prefix: str) -> dict:
-        return {f"{prefix}.gamma": self.grad_gamma, f"{prefix}.beta": self.grad_beta}
-
-    def running_stats(self, prefix: str) -> dict:
-        return {f"{prefix}.running_mean": self.running_mean, f"{prefix}.running_var": self.running_var}
 
 
 class ReLU:

@@ -2,6 +2,8 @@
 
 Each block is an L-layer subnetwork (Conv+BN+ReLU for layers 1..L-1, plain Conv for layer L)
 that predicts the residual noise S_i of its input; the block output is Y_i = Y_{i-1} - S_i.
+A block keeps its layers as one list of (conv, bn, relu) stages, which its forward and
+backward, predict's fold, the mode switches and the state naming all read.
 After the last block a reconstruction layer combines the P denoised channel slices into a
 single Ma x Mb channel-matrix estimate.
 """
@@ -57,31 +59,45 @@ class DenoiserHyper:
         if self.recon not in RECON_KINDS:
             raise ParameterError(f"recon must be one of {RECON_KINDS}, got {self.recon!r}")
 
+    @property
+    def state_size(self) -> int:
+        """Floats in the net's parameters and batch-norm running statistics, which is what
+        its checkpoint stores, in closed form: no layer or array is built."""
+        p, f, k2, n = self.pilots, self.filters, self.kernel_size**2, self.layers_per_block
+        convs = (k2 * p + 1) * f + (n - 2) * (k2 * f + 1) * f + (k2 * f + 1) * p
+        bns = (n - 1) * 4 * f  # gamma, beta, running mean and variance of layers 1..L-1
+        pixels = self.ma * self.mb
+        recon = p + 1 if self.recon == RECON_CONV1X1 else (pixels * p + 1) * pixels
+        return self.blocks * (convs + bns) + recon
+
 
 class DenoisingBlock:
-    """L-layer residual-noise subnetwork; maps Ma x Mb x P to itself."""
+    """L-layer residual-noise subnetwork; maps Ma x Mb x P to itself.
+
+    `layers` holds one (conv, bn, relu) stage per layer in forward order; the last
+    layer's stage is (conv, None, None)."""
 
     def __init__(self, hyper: DenoiserHyper, rng: np.random.Generator | None):
         p, k, f = hyper.pilots, hyper.kernel_size, hyper.filters
         n_layers = hyper.layers_per_block
-        self.convs: list[Conv2D] = []
-        self.bns: list[BatchNorm2D] = []
-        self.relus: list[ReLU] = []
-        for layer in range(1, n_layers + 1):
-            c_in = p if layer == 1 else f
-            c_out = p if layer == n_layers else f
-            self.convs.append(Conv2D(c_in, c_out, kernel_size=k, rng=rng))
-            if layer < n_layers:
-                self.bns.append(BatchNorm2D(c_out))
-                self.relus.append(ReLU())
+        self.layers: list[tuple[Conv2D, BatchNorm2D | None, ReLU | None]] = [
+            (Conv2D(p if layer == 1 else f, f, kernel_size=k, rng=rng), BatchNorm2D(f), ReLU())
+            for layer in range(1, n_layers)
+        ]
+        self.layers.append((Conv2D(f, p, kernel_size=k, rng=rng), None, None))
         self.analysis = False
 
+    @property
+    def bns(self) -> list[BatchNorm2D]:
+        """The batch norms of layers 1..L-1, in forward order."""
+        return [bn for _, bn, _ in self.layers[:-1]]
+
     def stages(self) -> list[tuple[Conv2D, BatchNorm2D | None, ReLU | None]]:
-        """(conv, bn, relu) per layer in forward order; bn and relu are None after the last
-        conv, and for every layer in analysis mode, where the block is its convs alone."""
+        """The stages this block runs, in forward order: `layers`, or in analysis mode
+        each conv alone, as (conv, None, None)."""
         if self.analysis:
-            return [(conv, None, None) for conv in self.convs]
-        return list(zip(self.convs, [*self.bns, None], [*self.relus, None]))
+            return [(conv, None, None) for conv, _, _ in self.layers]
+        return self.layers
 
     def forward(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (Y_out, S) with S the predicted residual noise and Y_out = Y - S."""
@@ -228,7 +244,7 @@ class ResidualDenoiser:
         """(prefix, layer) for every layer with state, in serialization order: per block
         conv1, bn1, ..., convL, then the reconstruction layer."""
         for bi, block in enumerate(self.blocks):
-            for li, (conv, bn) in enumerate(zip(block.convs, [*block.bns, None]), start=1):
+            for li, (conv, bn, _) in enumerate(block.layers, start=1):
                 yield f"block{bi}.conv{li}", conv
                 if bn is not None:
                     yield f"block{bi}.bn{li}", bn
@@ -242,12 +258,7 @@ class ResidualDenoiser:
         return {k: v for prefix, layer in self._named_layers() for k, v in layer.named_gradients(prefix).items()}
 
     def named_running_stats(self) -> dict[str, np.ndarray]:
-        return {
-            k: v
-            for prefix, layer in self._named_layers()
-            if isinstance(layer, BatchNorm2D)
-            for k, v in layer.running_stats(prefix).items()
-        }
+        return {k: v for prefix, layer in self._named_layers() for k, v in layer.running_stats(prefix).items()}
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.named_parameters().values())

@@ -36,8 +36,8 @@ def set_model_to_ls(model: ResidualDenoiser) -> ResidualDenoiser:
     (Y - 0 = Y); the reconstruction layer then averages the P input slices.
     """
     for block in model.blocks:
-        block.convs[-1].w[...] = 0.0
-        block.convs[-1].b[...] = 0.0
+        block.layers[-1][0].w[...] = 0.0
+        block.layers[-1][0].b[...] = 0.0
     p = model.hyper.pilots
     model.recon.w[...] = 1.0 / p
     model.recon.b[...] = 0.0

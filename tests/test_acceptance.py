@@ -209,8 +209,8 @@ def test_06_bit_level_properties(tmp_path):
     # residual identity: a block whose final conv is zero passes its input through bitwise
     model = build_model(hyper, rng=0).eval_mode()
     for block in model.blocks:
-        block.convs[-1].w[...] = 0.0
-        block.convs[-1].b[...] = 0.0
+        block.layers[-1][0].w[...] = 0.0
+        block.layers[-1][0].b[...] = 0.0
     y = rng.standard_normal((3, 4, 4, 2))
     out, s = model.blocks[0].forward(y)
     residual_ok = bool(np.all(s == 0.0)) and np.array_equal(out, y)

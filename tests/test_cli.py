@@ -425,3 +425,13 @@ class TestExitCodeContract:
         assert not any("Traceback" in line for line in lines)
         if code:
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+    # complexity allocates nothing, so a shape flag that escaped the check would show as
+    # an OverflowError from the multiply count, not as memory use
+    @pytest.mark.parametrize("value", [2**32, 2**64])
+    @pytest.mark.parametrize("flag", ["--blocks", "--layers-per-block", "--filters", "--kernel-size"])
+    def test_shape_flag_at_2_32_is_2_and_named(self, capsys, flag, value):
+        assert main(["complexity", flag, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}={value} must be below 2**32\n"

@@ -235,6 +235,24 @@ class TestMseLoss:
             mse_loss(np.zeros(3), np.zeros(4))
 
 
+@pytest.mark.parametrize("make, x, params, stats", [
+    (lambda rng: Conv2D(2, 3, rng=rng), (2, 4, 4, 2), ["w", "b"], []),
+    (lambda rng: Dense(4, 3, rng=rng), (2, 4), ["w", "b"], []),
+    (lambda rng: BatchNorm2D(3), (2, 4, 4, 3), ["gamma", "beta"], ["running_mean", "running_var"]),
+], ids=["Conv2D", "Dense", "BatchNorm2D"])
+def test_state_naming_returns_the_live_arrays_in_declared_order(make, x, params, stats, rng):
+    layer = make(rng)
+    out = layer.forward(rng.standard_normal(x))
+    layer.backward(np.ones_like(out))  # backward replaces the gradient arrays
+    for named, keys, attrs in [
+        (layer.named_parameters("l"), params, params),
+        (layer.named_gradients("l"), params, [f"grad_{name}" for name in params]),
+        (layer.running_stats("l"), stats, stats),
+    ]:
+        assert list(named) == [f"l.{key}" for key in keys]
+        assert all(arr is getattr(layer, attr) for arr, attr in zip(named.values(), attrs))
+
+
 DTYPES = [np.float32, np.float64]
 
 

@@ -1,5 +1,6 @@
 """Network tests: parameter counts, residual identity, gradients, checkpoint I/O."""
 
+import itertools
 import os
 import struct
 import subprocess
@@ -27,6 +28,7 @@ from ambcest import (
     save_checkpoint,
     train,
 )
+from ambcest.cli import main
 from ambcest.layers import Conv2D
 from ambcest.model import PREDICT_CHUNK, _fold
 from conftest import set_model_to_ls
@@ -125,6 +127,16 @@ class TestParameterCounts:
         base = build_model(hp, rng=0).num_parameters()
         conv_part = (9 * 2 * 2 + 2) + (9 * 2 * 2 + 2) + 2 * 2  # two convs + one BN pair
         assert base == conv_part + vol * 4 + 4  # dense recon: (M x vol) weights + M biases
+
+    @pytest.mark.parametrize("recon", ["conv1x1", "dense"])
+    def test_closed_form_state_size_matches_a_built_model(self, recon):
+        for b, l, f, k, p, (ma, mb) in itertools.product(
+            (1, 2), (2, 3, 5), (1, 4), (1, 3), (1, 3), ((2, 3), (4, 4))
+        ):
+            hp = DenoiserHyper(blocks=b, layers_per_block=l, filters=f, ma=ma, mb=mb, pilots=p,
+                               kernel_size=k, recon=recon)
+            state = build_model(hp, rng=0).state_dict()
+            assert hp.state_size == sum(arr.size for arr in state.values()), hp
 
 
 class TestForward:
@@ -238,8 +250,8 @@ class TestForward:
         # zeroing each block's final conv makes S = 0, so the block output == input bitwise
         model = build_model(TINY, rng=0).eval_mode()
         for block in model.blocks:
-            block.convs[-1].w[...] = 0.0
-            block.convs[-1].b[...] = 0.0
+            block.layers[-1][0].w[...] = 0.0
+            block.layers[-1][0].b[...] = 0.0
         y = rng.standard_normal((3, 4, 4, 2))
         out, s = model.blocks[0].forward(y)
         assert np.all(s == 0.0)
@@ -308,7 +320,7 @@ class TestAnalysisMode:
         h = y
         for block in ref.blocks:
             s = h
-            for conv in block.convs:
+            for conv, _, _ in block.layers:
                 s = conv.forward(s)
             h = h - s
         want = ref._recon_forward(h, ref.recon)
@@ -318,7 +330,7 @@ class TestAnalysisMode:
             gh = ref.recon.backward(g.reshape(5, -1)).reshape(5, 4, 4, 2)
         for block in reversed(ref.blocks):
             gs = -gh
-            for conv in reversed(block.convs):
+            for conv, _, _ in reversed(block.layers):
                 gs = conv.backward(gs)
             gh = gh + gs
         assert out.dtype == dtype and np.array_equal(out, want)
@@ -509,7 +521,7 @@ class TestStateLayout:
     def test_named_state_entries_are_the_live_arrays(self):
         model = build_model(C7, rng=0)
         block = model.blocks[1]
-        assert model.named_parameters()["block1.conv4.w"] is block.convs[3].w
+        assert model.named_parameters()["block1.conv4.w"] is block.layers[3][0].w
         assert model.named_parameters()["block1.bn2.gamma"] is block.bns[1].gamma
         assert model.named_running_stats()["block1.bn3.running_var"] is block.bns[2].running_var
         model.train_mode().forward(np.ones((2, 8, 8, 2)))
@@ -598,6 +610,24 @@ class TestCheckpoint:
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FormatError, match="invalid header"):
             load_checkpoint(path)
+
+    def test_header_claiming_a_large_net_is_refused_before_any_model_is_built(self, tmp_path, capsys):
+        # 20 default-shape blocks under a valid CRC and an empty payload: building the net
+        # before sizing the payload would allocate about 69 MiB
+        header = struct.pack("<4sI8I", b"CRLD", 1, 20, 8, 64, 8, 8, 2, 3, 0)
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(header + struct.pack("<I", zlib.crc32(header)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="expected"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert main(["eval", "--checkpoint", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unsupported_version_rejected(self, tmp_path):
         model = build_model(TINY, rng=0)
