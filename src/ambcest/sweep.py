@@ -157,10 +157,15 @@ def _score_point(
     rng = np.random.default_rng(seed)
     p = pilots_for_link(cfg, link)
     y, x = simulate_batch(cfg, link, trials, rng)
-    x_vec = x.reshape(trials, -1)
+    # the estimates that read y come first, so y is freed before any other estimate
     if "ls" in methods or "mmse" in methods:
         ls = ls_estimate(y)  # the LS row and MMSE's P-sample mean
-    # every method's NMSE denominator, drawn after LS: before it, peak RSS rose 8 MiB
+    if "crld" in methods:
+        crld = model.predict(y)
+    del y
+    x_vec = x.reshape(trials, -1)
+    # every method's NMSE denominator, drawn after LS: drawn before it, sweep-classic's peak
+    # RSS read 163 MiB instead of 153.5
     energies = _trial_energies(x_vec)
     rows = []
     for method in methods:
@@ -170,7 +175,7 @@ def _score_point(
             R = link_correlation(cfg, link)
             est = mmse_estimate_vector(ls, R, cfg.sigma_u_sq, p)
         else:
-            est = model.predict(y)
+            est = crld
         score = nmse(x_vec, est.reshape(trials, -1), truth_energies=energies)
         rows.append(
             ReportRow(

@@ -19,7 +19,7 @@ from ambcest import (
     sample_gaussian_vector,
     simulate_batch,
 )
-from ambcest.channel import pilots_for_link, vec_to_mat, widen_pilots
+from ambcest.channel import TRIAL_BLOCK_BYTES, pilots_for_link, trial_blocks, vec_to_mat, widen_pilots
 from conftest import iid_config
 
 
@@ -203,17 +203,31 @@ class TestAgainstReference:
         assert y.flags.c_contiguous and x.flags.c_contiguous
         assert not np.shares_memory(y, x)
 
+    # the noise is drawn one trial block at a time: n one short of a block, one block,
+    # one past it, and two blocks and a remainder
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("link", ["direct", "composite"])
+    def test_bits_equal_the_reference_across_trial_blocks(self, link, p, blocks, extra):
+        cfg = SystemConfig(na=p, nb=p)
+        n = blocks * (TRIAL_BLOCK_BYTES // (p * cfg.m * 8)) + extra
+        assert len(trial_blocks(n, p * cfg.m * 8)) == blocks + (extra > 0)
+        y, x = simulate_batch(cfg, link, n, np.random.default_rng(n))
+        y_ref, x_ref = reference_simulate(cfg, link, n, n)
+        assert np.array_equal(y.view(np.uint64), y_ref.view(np.uint64))
+        assert np.array_equal(x.view(np.uint64), x_ref.view(np.uint64))
+
     @pytest.mark.parametrize("link", ["direct", "composite"])
     def test_peak_memory_is_bounded(self, link):
-        # room for y, x and the (n, P, M) noise draw: no other full-size temporary (a
-        # scaled-noise copy, an (n, P, M) sum, a transposing copy, the composite link's g)
+        # room for y, x and one block of noise: no full (n, P, M) noise draw and no other
+        # full-size temporary (an (n, P, M) sum, a transposing copy, the composite link's g)
         tracemalloc.start()
         try:
             y, x = simulate_batch(SystemConfig(), link, 20_000, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * y.nbytes + x.nbytes + 2**20
+        assert peak <= y.nbytes + x.nbytes + TRIAL_BLOCK_BYTES + 2**20
 
 
 class TestRealization:

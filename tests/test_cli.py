@@ -435,3 +435,14 @@ class TestExitCodeContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag}={value} must be below 2**32\n"
+
+    # train loads its dataset first, then refuses the flag before it builds any layer
+    @pytest.mark.parametrize("value", [2**32, 2**64])
+    @pytest.mark.parametrize("flag", ["--blocks", "--layers-per-block", "--filters", "--kernel-size"])
+    def test_shape_flag_at_2_32_on_train_is_2_and_named(self, capsys, tmp_path, tiny_dataset, flag, value):
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--data", tiny_dataset, "--out", str(out), flag, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}={value} must be below 2**32\n"
+        assert not out.exists()

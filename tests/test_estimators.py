@@ -1,9 +1,12 @@
 """Estimator tests: LS risk, Wiener gains, matrix form vs brute force, NMSE metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ambcest import (
     MetricError,
@@ -24,8 +27,8 @@ from ambcest import (
     nmse,
     simulate_batch,
 )
-from ambcest.channel import CorrelationSpec, widen_pilots
-from ambcest.estimators import PAIRWISE_MIN_PILOTS, _trial_energies
+from ambcest.channel import TRIAL_BLOCK_BYTES, CorrelationSpec, widen_pilots
+from ambcest.estimators import NMSE_CI_BATCHES, PAIRWISE_MIN_PILOTS, _trial_energies
 from conftest import iid_config
 
 
@@ -309,6 +312,42 @@ class TestNmse:
 
     def test_to_db(self):
         assert NmseEstimate(value=0.1, ci_half_width=0.0, trials=10).to_db() == pytest.approx(-10.0)
+
+    @staticmethod
+    def one_shot(truth, est):
+        """nmse over full-size arrays: one (n, M) error array, then the batch means."""
+        err = truth - est
+        num = np.einsum("ij,ij->i", err, err)
+        den = np.einsum("ij,ij->i", truth, truth)
+        value = float(num.sum() / den.sum())
+        b = min(NMSE_CI_BATCHES, len(truth))
+        if b < 2:
+            return value, float("nan")
+        means = np.array([nc.sum() / dc.sum() for nc, dc in zip(np.array_split(num, b), np.array_split(den, b))])
+        return value, float(stats.t.ppf(0.975, b - 1) * means.std(ddof=1) / np.sqrt(b))
+
+    # the errors are formed one trial block at a time: n below NMSE_CI_BATCHES, and n on
+    # both sides of one and two blocks
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 2), (0, NMSE_CI_BATCHES - 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_equals_the_one_shot_formula_bit_for_bit(self, blocks, extra):
+        n = blocks * (TRIAL_BLOCK_BYTES // (64 * 8)) + extra
+        truth = np.random.default_rng(n).standard_normal((n, 64))
+        est = truth + 0.4 * np.random.default_rng(n + 1).standard_normal((n, 64))
+        score = nmse(truth, est)
+        value, half = self.one_shot(truth, est)
+        assert score.value == value
+        assert score.ci_half_width == half or (np.isnan(half) and np.isnan(score.ci_half_width))
+        assert nmse(truth, est, truth_energies=_trial_energies(truth)).value == value
+
+    def test_peak_memory_is_one_block(self):
+        truth, est = np.random.default_rng(0).standard_normal((2, 20_000, 64))
+        tracemalloc.start()
+        try:
+            nmse(truth, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= TRIAL_BLOCK_BYTES + 2**20
 
 
 class TestNmseProperties:

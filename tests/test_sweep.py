@@ -1,6 +1,7 @@
 """Sweep-harness tests: plans, CSV schema, checkpoint reuse, complexity counts."""
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from ambcest import (
     complexity_report,
     run_sweep,
 )
+from ambcest.channel import TRIAL_BLOCK_BYTES
 from ambcest.sweep import (
     CSV_HEADER,
     checkpoint_name,
@@ -114,6 +116,20 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_module, "_trial_energies", counting_energies)
         assert run_sweep(plan, iid_config(), seed=0).rows == want  # bit for bit
         assert len(calls) == len(plan.values)
+
+    @pytest.mark.parametrize("link", ["direct", "composite"])
+    def test_point_peak_memory_is_y_x_and_one_estimate(self, link):
+        # LS reads y and then y is freed, so MMSE's estimate and the scoring never hold it:
+        # a point's working set is (P + 2) * M * 8 bytes per trial, plus one trial block
+        cfg, trials = SystemConfig(), 20_000
+        plan = ExperimentPlan(values=(cfg.snr_db,), methods=("ls", "mmse"), links=(link,), trials=trials)
+        tracemalloc.start()
+        try:
+            run_sweep(plan, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (cfg.na + 2) * cfg.m * 8 * trials + TRIAL_BLOCK_BYTES + 2**20
 
     def test_rows_come_back_in_plan_order(self):
         plan = ExperimentPlan(values=(-6.0, 0.0), methods=("ls", "mmse"), trials=400)
