@@ -9,7 +9,6 @@ exploit the channel correlation matrix and the noise variance.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .channel import trial_blocks
 from .errors import MetricError, NumericError, ParameterError, ShapeError
@@ -17,6 +16,15 @@ from .errors import MetricError, NumericError, ParameterError, ShapeError
 
 PAIRWISE_MIN_PILOTS = 8  # numpy sums >= 8 values pairwise, so an in-order sum loses y.mean's bits
 NMSE_CI_BATCHES = 20  # contiguous trial groups behind nmse's batch-means half-width
+# Student-t 97.5% quantiles t.ppf(0.975, df) for df = 1 .. NMSE_CI_BATCHES - 1, as exact
+# float64 reprs: nmse with b groups reads T_975[b - 2]
+T_975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087,
+)
 
 
 def ls_estimate(y: np.ndarray) -> np.ndarray:
@@ -219,10 +227,11 @@ def nmse(truth: np.ndarray, estimates: np.ndarray, *, truth_energies: np.ndarray
     """Batch NMSE: sum ||x - x_hat||^2 / sum ||x||^2 over the trial axis (axis 0).
 
     The confidence half-width comes from batch means: the trials are split into
-    NMSE_CI_BATCHES contiguous groups, the per-group NMSEs feed a t-interval.  NaN when
-    fewer than two groups are available.  A non-finite NMSE (NaN or inf in the truth or
-    the estimates, or an overflowing sum) raises NumericError.  `truth_energies`, the
-    _trial_energies of the truth, saves that pass when several estimates share one truth.
+    NMSE_CI_BATCHES contiguous groups, the per-group NMSEs feed a t-interval whose
+    quantile comes from the table T_975.  NaN when fewer than two groups are available.
+    A non-finite NMSE (NaN or inf in the truth or the estimates, or an overflowing sum)
+    raises NumericError.  `truth_energies`, the _trial_energies of the truth, saves that
+    pass when several estimates share one truth.
     The errors x - x_hat are formed one trial block (channel.trial_blocks) at a time, so
     beyond its inputs nmse holds one block and two floats per trial: a 2.2 MiB tracemalloc
     peak at n = 20,000, M = 64.
@@ -254,5 +263,5 @@ def nmse(truth: np.ndarray, estimates: np.ndarray, *, truth_energies: np.ndarray
     num_chunks = np.array_split(num, b)
     den_chunks = np.array_split(den, b)
     means = np.array([nc.sum() / dc.sum() for nc, dc in zip(num_chunks, den_chunks)])
-    half = float(stats.t.ppf(0.975, b - 1) * means.std(ddof=1) / np.sqrt(b))
+    half = float(T_975[b - 2] * means.std(ddof=1) / np.sqrt(b))
     return NmseEstimate(value=value, ci_half_width=half, trials=n)

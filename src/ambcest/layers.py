@@ -12,6 +12,9 @@ in float64.  Backward runs in the dtype of the forward it follows.  Parameters a
 norm running statistics are float64 master copies, cast to the compute dtype on each
 forward, and gradients are stored as float64, so optimizers and checkpoints see float64
 only.  A float64 input takes exactly the float64 path.
+
+Gradients come from backward: a layer allocates none when it is built, and one that has
+not run backward reads its gradients as zeros (see _Stateful.named_gradients).
 """
 
 import numpy as np
@@ -123,7 +126,12 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
 class _Stateful:
     """State naming shared by the layers: `params` names the trainable arrays, each with
     its gradient in `grad_<name>`, and `stats` the running statistics.  Every dict is
-    keyed `<prefix>.<name>` in declared order and holds the live arrays."""
+    keyed `<prefix>.<name>` in declared order and holds the live arrays.
+
+    Each backward stores new gradient arrays; before the first one `grad_<name>` is None,
+    so a layer that is only evaluated holds no gradient memory.  named_gradients reports
+    such a gradient as a fresh zero array of its parameter's shape, which it does not
+    store: reading it leaves the layer as it was."""
 
     params: tuple[str, ...] = ()
     stats: tuple[str, ...] = ()
@@ -132,7 +140,11 @@ class _Stateful:
         return {f"{prefix}.{name}": getattr(self, name) for name in self.params}
 
     def named_gradients(self, prefix: str) -> dict:
-        return {f"{prefix}.{name}": getattr(self, f"grad_{name}") for name in self.params}
+        return {f"{prefix}.{name}": self._gradient(name) for name in self.params}
+
+    def _gradient(self, name: str) -> np.ndarray:
+        grad = getattr(self, f"grad_{name}")
+        return np.zeros_like(getattr(self, name)) if grad is None else grad
 
     def running_stats(self, prefix: str) -> dict:
         return {f"{prefix}.{name}": getattr(self, name) for name in self.stats}
@@ -176,8 +188,7 @@ class Conv2D(_Stateful):
             limit = np.sqrt(6.0 / fan_in)  # He-uniform for ReLU stacks
             self.w = rng.uniform(-limit, limit, size=(out_channels, kernel_size, kernel_size, in_channels))
         self.b = np.zeros(out_channels)
-        self.grad_w = np.zeros_like(self.w)
-        self.grad_b = np.zeros_like(self.b)
+        self.grad_w = self.grad_b = None
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -239,8 +250,7 @@ class Dense(_Stateful):
             limit = np.sqrt(6.0 / in_features)
             self.w = rng.uniform(-limit, limit, size=(out_features, in_features))
         self.b = np.zeros(out_features)
-        self.grad_w = np.zeros_like(self.w)
-        self.grad_b = np.zeros_like(self.b)
+        self.grad_w = self.grad_b = None
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -292,8 +302,7 @@ class BatchNorm2D(_Stateful):
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.grad_gamma = np.zeros_like(self.gamma)
-        self.grad_beta = np.zeros_like(self.beta)
+        self.grad_gamma = self.grad_beta = None
         self.mode = self.TRAIN
         self._cache = None
 

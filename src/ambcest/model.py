@@ -151,8 +151,9 @@ class ResidualDenoiser:
     def analysis(self) -> bool:
         """Linear-analysis mode: every block runs its convs alone, without batch norm or ReLU.
 
-        Switching it on zeroes the batch-norm gradients, which no backward then writes,
-        so an optimizer step cannot apply stale ones from earlier normal-mode training."""
+        Switching it on resets the batch-norm gradients, which no backward then writes, to
+        none yet (they read as zeros), so an optimizer step cannot apply stale ones from
+        earlier normal-mode training."""
         return all(block.analysis for block in self.blocks)
 
     @analysis.setter
@@ -161,8 +162,7 @@ class ResidualDenoiser:
             block.analysis = bool(flag)
             if flag:
                 for bn in block.bns:
-                    bn.grad_gamma = np.zeros_like(bn.gamma)
-                    bn.grad_beta = np.zeros_like(bn.beta)
+                    bn.grad_gamma = bn.grad_beta = None
 
     # -- forward / backward ----------------------------------------------
 

@@ -1,6 +1,10 @@
 """Estimator tests: LS risk, Wiener gains, matrix form vs brute force, NMSE metric."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from ambcest import (
     simulate_batch,
 )
 from ambcest.channel import TRIAL_BLOCK_BYTES, CorrelationSpec, widen_pilots
-from ambcest.estimators import NMSE_CI_BATCHES, PAIRWISE_MIN_PILOTS, _trial_energies
+from ambcest.estimators import NMSE_CI_BATCHES, PAIRWISE_MIN_PILOTS, T_975, _trial_energies
 from conftest import iid_config
 
 
@@ -348,6 +352,19 @@ class TestNmse:
         finally:
             tracemalloc.stop()
         assert peak <= TRIAL_BLOCK_BYTES + 2**20
+
+    def test_quantile_table_is_scipys(self):
+        # one entry per group count nmse can use: changing NMSE_CI_BATCHES needs a new table
+        assert len(T_975) == NMSE_CI_BATCHES - 1
+        assert list(T_975) == [float(stats.t.ppf(0.975, df)) for df in range(1, NMSE_CI_BATCHES)]
+
+    def test_package_import_loads_no_scipy(self):
+        # importing scipy.stats costs about 70 MiB of resident memory and 1 s of start-up
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "import sys, ambcest, ambcest.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestNmseProperties:

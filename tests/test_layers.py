@@ -235,11 +235,14 @@ class TestMseLoss:
             mse_loss(np.zeros(3), np.zeros(4))
 
 
-@pytest.mark.parametrize("make, x, params, stats", [
+stateful_layers = pytest.mark.parametrize("make, x, params, stats", [
     (lambda rng: Conv2D(2, 3, rng=rng), (2, 4, 4, 2), ["w", "b"], []),
     (lambda rng: Dense(4, 3, rng=rng), (2, 4), ["w", "b"], []),
     (lambda rng: BatchNorm2D(3), (2, 4, 4, 3), ["gamma", "beta"], ["running_mean", "running_var"]),
 ], ids=["Conv2D", "Dense", "BatchNorm2D"])
+
+
+@stateful_layers
 def test_state_naming_returns_the_live_arrays_in_declared_order(make, x, params, stats, rng):
     layer = make(rng)
     out = layer.forward(rng.standard_normal(x))
@@ -251,6 +254,18 @@ def test_state_naming_returns_the_live_arrays_in_declared_order(make, x, params,
     ]:
         assert list(named) == [f"l.{key}" for key in keys]
         assert all(arr is getattr(layer, attr) for arr, attr in zip(named.values(), attrs))
+
+
+@stateful_layers
+def test_gradients_read_as_zeros_until_backward(make, x, params, stats, rng):
+    layer = make(rng)
+    layer.forward(rng.standard_normal(x))  # forward alone writes no gradient
+    grads = layer.named_gradients("l")
+    assert list(grads) == [f"l.{name}" for name in params]
+    for name, grad in zip(params, grads.values()):
+        assert grad.shape == getattr(layer, name).shape and grad.dtype == np.float64
+        assert not np.any(grad)
+        assert getattr(layer, f"grad_{name}") is None  # the zeros were not stored
 
 
 DTYPES = [np.float32, np.float64]

@@ -541,6 +541,53 @@ class TestStateLayout:
         assert (tmp_path / "again.ckpt").read_bytes() == LAYOUT_CKPT.read_bytes()
 
 
+def traced_after(make):
+    """(the object make() returns, the bytes tracemalloc still counts once it has returned)."""
+    tracemalloc.start()
+    try:
+        made = make()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return made, held
+
+
+class TestResidentMemory:
+    """A model holds its parameters and running statistics and no gradient until a backward."""
+
+    # layer objects, lists and dicts: about 34 KiB at the default shape
+    SLACK = 2**18
+
+    @pytest.mark.parametrize("recon", ["conv1x1", "dense"])
+    def test_built_and_loaded_models_hold_only_their_state(self, recon, tmp_path):
+        # the default net's state is 5.17 MiB; with build-time gradient buffers a model held 10.36
+        hyper = DenoiserHyper(recon=recon)
+        model, held = traced_after(lambda: build_model(hyper, rng=0))
+        assert held <= hyper.state_size * 8 + self.SLACK
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        del model
+        _, held = traced_after(lambda: load_checkpoint(tmp_path / "model.ckpt"))
+        assert held <= hyper.state_size * 8 + self.SLACK
+
+    def test_gradients_read_zero_before_any_backward(self):
+        model = build_model(C7, rng=0)
+        params, grads = model.named_parameters(), model.named_gradients()
+        assert list(grads) == C7_PARAMETER_NAMES
+        for name, grad in grads.items():
+            assert grad.shape == params[name].shape and grad.dtype == np.float64, name
+            assert not np.any(grad), name
+        assert model.named_gradients()["recon.w"] is not grads["recon.w"]  # fresh zeros, not stored
+
+    def test_analysis_mode_resets_the_batch_norm_gradients(self):
+        model = build_model(C7, rng=0).train_mode()
+        model.forward(np.ones((2, 8, 8, 2)))
+        model.backward(np.ones((2, 8, 8)))
+        model.analysis = True
+        bns = [bn for block in model.blocks for bn in block.bns]
+        assert all(bn.grad_gamma is None and bn.grad_beta is None for bn in bns)
+        assert model.recon.grad_w is not None  # a conv keeps its last gradient
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path, rng):
         model = build_model(TINY, rng=4).train_mode()
