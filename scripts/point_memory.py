@@ -1,0 +1,72 @@
+"""Tracemalloc peaks of the Monte-Carlo paths at the default operating point (P = 2, M = 64).
+
+    python3 scripts/point_memory.py [TRIALS]
+
+Runs each path once on TRIALS trials (default 20,000) with the package of the checkout
+this script sits in, and prints the peak of the memory that Python allocated during the
+call, in MiB: simulate_batch on the direct link, nmse of its truth against a zero
+estimate (inputs excluded), an LS + MMSE sweep point on each link, and evaluate of the
+default net (B=3, L=8, F=64, seeded weights).  These are the peaks the docstrings of
+those functions cite.  The process's resident size is larger: it adds the interpreter,
+numpy, BLAS and the allocator's slack.
+"""
+
+import argparse
+import os
+import sys
+import tracemalloc
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from ambcest import DenoiserHyper, SystemConfig, build_model, evaluate, nmse, simulate_batch  # noqa: E402
+from ambcest.sweep import _score_point  # noqa: E402
+
+MIB = 2**20
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc reads while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def peaks(trials: int) -> dict[str, int]:
+    """Each path's name and tracemalloc peak in bytes."""
+    cfg = SystemConfig()
+    rng = np.random.default_rng
+    _, x = simulate_batch(cfg, "direct", trials, rng(0))
+    x = x.reshape(trials, -1)
+    zero = np.zeros_like(x)
+    out = {
+        "simulate_batch": traced_peak(simulate_batch, cfg, "direct", trials, rng(0)),
+        "nmse": traced_peak(nmse, x, zero),
+    }
+    del x, zero
+    for link in ("direct", "composite"):
+        out[f"sweep point ls+mmse {link}"] = traced_peak(
+            _score_point, cfg, link, ("ls", "mmse"), trials, np.random.SeedSequence(0), None)
+    model = build_model(DenoiserHyper(), rng=0).eval_mode()
+    out["evaluate default net"] = traced_peak(evaluate, model, cfg, "direct", trials, rng(0))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trials", nargs="?", type=int, default=20_000)
+    args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error("TRIALS must be >= 1")
+    print(f"trials={args.trials}")
+    for name, peak in peaks(args.trials).items():
+        print(f"{name:<32}{peak / MIB:6.1f} MiB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

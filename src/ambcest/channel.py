@@ -10,6 +10,7 @@ trailing pilot axis, giving the Ma x Mb x P observation tensors consumed by the 
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,35 +52,52 @@ def build_correlation_matrix(spec: CorrelationSpec, m: int) -> np.ndarray:
     return spec.rho ** lags
 
 
+def _cholesky(R: np.ndarray) -> np.ndarray:
+    R = np.asarray(R, dtype=np.float64)
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        raise ShapeError(f"R must be square, got shape {R.shape}")
+    try:
+        return np.linalg.cholesky(R)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"covariance is not positive-definite: {exc}") from exc
+
+
 def sample_gaussian_vector(R: np.ndarray, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw zero-mean Gaussian vectors with covariance R via the Cholesky factor.
 
     Returns shape (M,) when size is None, else (size, M).  Sample covariance over many
     draws converges to R.
     """
-    R = np.asarray(R, dtype=np.float64)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ShapeError(f"R must be square, got shape {R.shape}")
-    try:
-        L = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"covariance is not positive-definite: {exc}") from exc
+    L = _cholesky(R)
     if size is None:
-        return L @ rng.standard_normal(R.shape[0])
-    z = rng.standard_normal((size, R.shape[0]))
+        return L @ rng.standard_normal(L.shape[0])
+    z = rng.standard_normal((size, L.shape[0]))
     return z @ L.T
 
 
-# bytes of per-trial data in one block of the Monte-Carlo loops (simulate_batch's noise,
-# nmse's errors): their temporaries stay this small at any trial count
+# bytes of per-trial data in one block of the Monte-Carlo loops (the simulator's draws,
+# the per-block estimates, nmse's errors): their temporaries stay this small at any trial count
 TRIAL_BLOCK_BYTES = 1 << 21
 
 
 def trial_blocks(n: int, trial_bytes: int) -> list[slice]:
     """Consecutive slices that cover range(n), each TRIAL_BLOCK_BYTES // trial_bytes trials
-    long (at least one), the last one shorter."""
+    long (at least one).  A remainder shorter than a quarter of that joins the last full
+    block: a product over so few rows can take BLAS's small-matrix or vector kernels, which
+    sum in another order, so the blocks' bits would differ from one product over all n rows.
+
+    The quarter is a margin measured on OpenBLAS 0.3.31 (Haswell kernels), not a bound: an
+    (r, M) @ (M, M) product differs from those rows of a tall one for r up to 33, 18 and 4
+    rows at M = 36, 64 and 256, well inside a quarter block at P <= 9.  It does not hold
+    everywhere: with two or more BLAS threads, r <= M rows differ at M = 81 to 121, which
+    exceeds the quarter from P = 7 at M = 100; and at M = 196 and 324 blocks of almost any
+    height differ.  There the blocked draws differ from one product in their last bits.
+    """
     step = max(1, TRIAL_BLOCK_BYTES // max(1, trial_bytes))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    stops = list(range(step, n, step))
+    if stops and n - stops[-1] < step // 4:
+        stops.pop()
+    return [slice(lo, hi) for lo, hi in zip([0, *stops], [*stops, n])]
 
 
 def check_counts(**counts: int) -> None:
@@ -227,37 +245,78 @@ def pilots_for_link(cfg: SystemConfig, link: str) -> int:
     raise ParameterError(f"link must be one of {LINKS}, got {link!r}")
 
 
+def draw_truths(cfg: SystemConfig, link: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The channels of n trials on one link, shape (n, M): simulate_batch's first half.
+
+    The white draws of h fill the result (for the composite link, g's follow them from the
+    same generator), and each trial block of the observations (trial_blocks) is then
+    replaced by its Cholesky product, plus alpha*f*g on the composite link.  The values
+    equal one (n, M) product, bit for bit, with no full-size temporary beside the result.
+    """
+    if n < 1:
+        raise ParameterError(f"batch size must be >= 1, got {n}")
+    _, alpha = derive_noise_and_alpha(cfg)
+    blocks = trial_blocks(n, pilots_for_link(cfg, link) * cfg.m * 8)  # as observation_blocks'
+    composite = link == LINK_COMPOSITE
+    L_h = _cholesky(build_correlation_matrix(cfg.corr_h, cfg.m))
+    if composite:
+        L_g = _cholesky(build_correlation_matrix(cfg.corr_g, cfg.m))
+    x = rng.standard_normal((n, cfg.m))
+    for block in blocks:
+        h = x[block] @ L_h.T
+        if composite:
+            g = rng.standard_normal((block.stop - block.start, cfg.m)) @ L_g.T
+            g *= alpha * cfg.f
+            h += g
+        x[block] = h
+    return x
+
+
+def observation_blocks(
+    cfg: SystemConfig, link: str, x: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (block, y_block) over the trial blocks of the truths x (n, M), drawn after
+    draw_truths from the same generator: simulate_batch's second half.
+
+    Each block's noise u(p) is drawn (block, P, M) and scaled in place, each pilot slice
+    x + u(p) is written into a C-contiguous (block, M, P) target, and the noise is dropped
+    before the block is yielded.  The target is out[block] when `out` (n, M, P) is given,
+    else one reused block buffer, valid until the next block.  y_block is that target
+    shaped (block, Ma, Mb, P), so a reduction over its pilot axis sums in the order it
+    would over simulate_batch's Y.  The generator fills sequentially, so the noise equals
+    one (n, P, M) draw bit for bit.
+    """
+    sigma_u_sq, _ = derive_noise_and_alpha(cfg)
+    p = pilots_for_link(cfg, link)
+    scale = np.sqrt(sigma_u_sq)
+    blocks = trial_blocks(x.shape[0], p * cfg.m * x.itemsize)
+    # without `out`, one block of observations, refilled in place
+    y_buf = np.empty((max(b.stop - b.start for b in blocks), cfg.m, p)) if out is None else None
+    for block in blocks:
+        k = block.stop - block.start
+        noise = rng.standard_normal((k, p, cfg.m))
+        noise *= scale
+        y = out[block] if y_buf is None else y_buf[:k]
+        for i in range(p):
+            np.add(x[block], noise[:, i, :], out=y[:, :, i])
+        del noise  # not held while the block is read
+        yield block, y.reshape(k, cfg.ma, cfg.mb, p)
+
+
 def simulate_batch(
     cfg: SystemConfig, link: str, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n independent (observation, truth) pairs for one link.
 
     Returns Y with shape (n, Ma, Mb, P) and the noiseless truth X with shape (n, Ma, Mb),
-    both C-contiguous and sharing no memory.  Each pair uses a fresh channel (one batched
-    Cholesky product) and fresh noise.  This is the Monte Carlo workhorse: the noise is
-    drawn one trial block (trial_blocks) at a time from the same generator, which fills
-    sequentially, so the draws equal one (n, P, M) draw bit for bit.  Each block is scaled
-    in place and each pilot slice x + u(p) written straight into its place in Y, so the
-    working set is Y, X and one block: a 31.4 MiB tracemalloc peak at n = 20,000, P = 2,
-    M = 64, of which Y and X are 29.3 MiB.
+    both C-contiguous and sharing no memory.  Each pair uses a fresh channel and fresh
+    noise.  It is draw_truths, then observation_blocks writing each block straight into Y,
+    so the working set is Y, X and one trial block: a 31.4 MiB tracemalloc peak at
+    n = 20,000, P = 2, M = 64, of which Y and X are 29.3 MiB.  Monte-Carlo scoring needs
+    no full Y: it runs the two halves itself (estimators.nmse_streamed).
     """
-    if n < 1:
-        raise ParameterError(f"batch size must be >= 1, got {n}")
-    sigma_u_sq, alpha = derive_noise_and_alpha(cfg)
-    p = pilots_for_link(cfg, link)
-    x = sample_gaussian_vector(build_correlation_matrix(cfg.corr_h, cfg.m), rng, size=n)
-    if link == LINK_COMPOSITE:
-        g = sample_gaussian_vector(build_correlation_matrix(cfg.corr_g, cfg.m), rng, size=n)
-        g *= alpha * cfg.f
-        x += g
-        del g  # one channel-sized array fewer at the peak
-    scale = np.sqrt(sigma_u_sq)
-    y = np.empty((n, cfg.m, p))
-    blocks = trial_blocks(n, p * cfg.m * y.itemsize)
-    buf = np.empty((blocks[0].stop, p, cfg.m))  # one block of noise, refilled in place
-    for block in blocks:
-        noise = rng.standard_normal(out=buf[: block.stop - block.start])
-        noise *= scale
-        for i in range(p):
-            np.add(x[block], noise[:, i, :], out=y[block, :, i])
-    return y.reshape(n, cfg.ma, cfg.mb, p), vec_to_mat(x, cfg.ma, cfg.mb)
+    x = draw_truths(cfg, link, n, rng)
+    y = np.empty((n, cfg.m, pilots_for_link(cfg, link)))
+    for _ in observation_blocks(cfg, link, x, rng, out=y):
+        pass
+    return y.reshape(n, cfg.ma, cfg.mb, -1), vec_to_mat(x, cfg.ma, cfg.mb)

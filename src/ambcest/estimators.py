@@ -6,11 +6,12 @@ solution is the sample mean over the P pilot slices, and the MMSE (Wiener) solut
 exploit the channel correlation matrix and the noise variance.
 """
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import trial_blocks
+from .channel import SystemConfig, draw_truths, observation_blocks, trial_blocks
 from .errors import MetricError, NumericError, ParameterError, ShapeError
 
 
@@ -223,15 +224,10 @@ def _trial_energies(a: np.ndarray) -> np.ndarray:  # per-trial squared norms of 
     return np.einsum("ij,ij->i", a, a)
 
 
-def nmse(truth: np.ndarray, estimates: np.ndarray, *, truth_energies: np.ndarray | None = None) -> NmseEstimate:
-    """Batch NMSE: sum ||x - x_hat||^2 / sum ||x||^2 over the trial axis (axis 0).
+def nmse(truth: np.ndarray, estimates: np.ndarray) -> NmseEstimate:
+    """Batch NMSE: sum ||x - x_hat||^2 / sum ||x||^2 over the trial axis (axis 0), with the
+    statistics of nmse_from_errors.
 
-    The confidence half-width comes from batch means: the trials are split into
-    NMSE_CI_BATCHES contiguous groups, the per-group NMSEs feed a t-interval whose
-    quantile comes from the table T_975.  NaN when fewer than two groups are available.
-    A non-finite NMSE (NaN or inf in the truth or the estimates, or an overflowing sum)
-    raises NumericError.  `truth_energies`, the _trial_energies of the truth, saves that
-    pass when several estimates share one truth.
     The errors x - x_hat are formed one trial block (channel.trial_blocks) at a time, so
     beyond its inputs nmse holds one block and two floats per trial: a 2.2 MiB tracemalloc
     peak at n = 20,000, M = 64.
@@ -244,24 +240,68 @@ def nmse(truth: np.ndarray, estimates: np.ndarray, *, truth_energies: np.ndarray
         raise ParameterError("need a non-empty batch of trials")
     n = truth.shape[0]
     truth, estimates = truth.reshape(n, -1), estimates.reshape(n, -1)
-    num = np.empty(n)
+    errors = np.empty(n)
     for block in trial_blocks(n, truth.shape[1] * truth.itemsize):
-        num[block] = _trial_energies(truth[block] - estimates[block])
-    den = _trial_energies(truth) if truth_energies is None else truth_energies
-    if den.shape != (n,):
-        raise ShapeError(f"truth_energies shape {den.shape} != ({n},)")
-    total_den = den.sum()
+        errors[block] = _trial_energies(truth[block] - estimates[block])
+    return nmse_from_errors(errors, _trial_energies(truth))
+
+
+def nmse_from_errors(errors: np.ndarray, energies: np.ndarray) -> NmseEstimate:
+    """NMSE of per-trial squared errors ||x - x_hat||^2 and truth energies ||x||^2, both (n,):
+    sum(errors) / sum(energies).
+
+    The confidence half-width comes from batch means: the trials are split into
+    NMSE_CI_BATCHES contiguous groups, the per-group NMSEs feed a t-interval whose
+    quantile comes from the table T_975.  NaN when fewer than two groups are available.
+    A non-finite NMSE (NaN or inf in an error or an energy, or an overflowing sum) raises
+    NumericError.
+    """
+    if errors.shape != energies.shape or errors.ndim != 1:
+        raise ShapeError(f"errors shape {errors.shape} and energies shape {energies.shape} must both be (n,)")
+    n = errors.shape[0]
+    total_den = energies.sum()
     if total_den == 0.0:
         raise MetricError("NMSE is undefined for an all-zero truth batch")
-    value = float(num.sum() / total_den)
+    value = float(errors.sum() / total_den)
     if not np.isfinite(value):
-        bad = int(np.count_nonzero(~np.isfinite(num + den)))
+        bad = int(np.count_nonzero(~np.isfinite(errors + energies)))
         raise NumericError(f"NMSE is {value}: {bad} of {n} trials have a non-finite error or truth")
     b = min(NMSE_CI_BATCHES, n)
     if b < 2:
         return NmseEstimate(value=value, ci_half_width=float("nan"), trials=n)
-    num_chunks = np.array_split(num, b)
-    den_chunks = np.array_split(den, b)
+    num_chunks = np.array_split(errors, b)
+    den_chunks = np.array_split(energies, b)
     means = np.array([nc.sum() / dc.sum() for nc, dc in zip(num_chunks, den_chunks)])
     half = float(T_975[b - 2] * means.std(ddof=1) / np.sqrt(b))
     return NmseEstimate(value=value, ci_half_width=half, trials=n)
+
+
+def nmse_streamed(
+    cfg: SystemConfig,
+    link: str,
+    trials: int,
+    rng: np.random.Generator,
+    estimate: Callable[[np.ndarray], Iterable[tuple[str, np.ndarray]]],
+) -> dict[str, NmseEstimate]:
+    """Score estimators on `trials` fresh draws without holding the observations.
+
+    Draws the truths (channel.draw_truths), then runs one trial block of observations
+    (channel.observation_blocks) at a time through `estimate`, which yields
+    (method, estimates) pairs for a (block, Ma, Mb, P) batch, each estimate array holding
+    block M-entry estimates in any shape.  Each method's per-trial errors go into an (n,)
+    array and the truth energies are summed once, so the results equal simulate_batch's
+    arrays scored by nmse, bit for bit, while the working set is the truths, a few floats
+    per trial and a few trial blocks: a 14.2 MiB tracemalloc peak for LS and MMSE at
+    n = 20,000, P = 2, M = 64, of which the truths are 9.8 MiB.
+    """
+    x = draw_truths(cfg, link, trials, rng)
+    errors = {}
+    for block, y in observation_blocks(cfg, link, x, rng):
+        truth = x[block]
+        for method, est in estimate(y):
+            if method not in errors:
+                errors[method] = np.empty(trials)
+            errors[method][block] = _trial_energies(truth - est.reshape(truth.shape))
+            del est  # not held while the next estimate is made
+    energies = _trial_energies(x)
+    return {method: nmse_from_errors(err, energies) for method, err in errors.items()}

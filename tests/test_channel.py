@@ -203,15 +203,33 @@ class TestAgainstReference:
         assert y.flags.c_contiguous and x.flags.c_contiguous
         assert not np.shares_memory(y, x)
 
-    # the noise is drawn one trial block at a time: n one short of a block, one block,
-    # one past it, and two blocks and a remainder
-    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    # the channels and the noise are drawn one trial block at a time: n one short of a
+    # block, one block, one past it, a block and each short tail that a (rows, 64) @ (64, 64)
+    # product would send down BLAS's small-matrix kernels (up to 18 rows), a block and 19,
+    # and two blocks and a remainder
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), *((1, k) for k in range(1, 20)), (2, 3)])
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("link", ["direct", "composite"])
     def test_bits_equal_the_reference_across_trial_blocks(self, link, p, blocks, extra):
         cfg = SystemConfig(na=p, nb=p)
-        n = blocks * (TRIAL_BLOCK_BYTES // (p * cfg.m * 8)) + extra
-        assert len(trial_blocks(n, p * cfg.m * 8)) == blocks + (extra > 0)
+        step = TRIAL_BLOCK_BYTES // (p * cfg.m * 8)
+        n = blocks * step + extra
+        # a remainder shorter than a quarter block joins the last full one
+        assert len(trial_blocks(n, p * cfg.m * 8)) == blocks + (extra >= step // 4)
+        y, x = simulate_batch(cfg, link, n, np.random.default_rng(n))
+        y_ref, x_ref = reference_simulate(cfg, link, n, n)
+        assert np.array_equal(y.view(np.uint64), y_ref.view(np.uint64))
+        assert np.array_equal(x.view(np.uint64), x_ref.view(np.uint64))
+
+    # the quarter-block margin at a larger geometry: at 16 x 16, P = 2, a block is 512
+    # trials and BLAS's small-matrix kernels take a product of up to 4 rows
+    @pytest.mark.parametrize("extra", [1, 4, 5, 127, 128, 129])
+    @pytest.mark.parametrize("link", ["direct", "composite"])
+    def test_bits_equal_the_reference_across_trial_blocks_at_16x16(self, link, extra):
+        cfg = SystemConfig(m=256, ma=16, mb=16, na=2, nb=2)
+        step = TRIAL_BLOCK_BYTES // (2 * cfg.m * 8)
+        n = step + extra
+        assert len(trial_blocks(n, 2 * cfg.m * 8)) == 1 + (extra >= step // 4)
         y, x = simulate_batch(cfg, link, n, np.random.default_rng(n))
         y_ref, x_ref = reference_simulate(cfg, link, n, n)
         assert np.array_equal(y.view(np.uint64), y_ref.view(np.uint64))
@@ -228,6 +246,21 @@ class TestAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak <= y.nbytes + x.nbytes + TRIAL_BLOCK_BYTES + 2**20
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 99, 100, 101, 124, 125, 126, 400, 401, 424, 425, 1000])
+    def test_blocks_tile_the_trials_and_only_a_short_remainder_joins(self, n):
+        blocks = trial_blocks(n, TRIAL_BLOCK_BYTES // 100)  # 100 trials a block
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(b.stop - b.start == 100 for b in blocks[:-1])
+        last = blocks[-1].stop - blocks[-1].start
+        assert (last == n if n < 125 else 25 <= last < 125)
+        assert len(blocks) == max(1, (n + 75) // 100)
+
+    def test_a_trial_wider_than_a_block_gets_a_block_of_its_own(self):
+        assert trial_blocks(3, TRIAL_BLOCK_BYTES + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 class TestRealization:

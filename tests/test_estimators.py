@@ -32,7 +32,7 @@ from ambcest import (
     simulate_batch,
 )
 from ambcest.channel import TRIAL_BLOCK_BYTES, CorrelationSpec, widen_pilots
-from ambcest.estimators import NMSE_CI_BATCHES, PAIRWISE_MIN_PILOTS, T_975, _trial_energies
+from ambcest.estimators import NMSE_CI_BATCHES, PAIRWISE_MIN_PILOTS, T_975, _trial_energies, nmse_from_errors
 from conftest import iid_config
 
 
@@ -284,12 +284,13 @@ class TestNmse:
         score = nmse(x.reshape(10_000, -1), ls_estimate(y))
         assert abs(score.value - 0.5) < 3 * score.ci_half_width
 
-    def test_given_truth_energies_give_the_same_bits(self, rng):
+    def test_errors_and_energies_give_the_same_bits(self, rng):
         truth = rng.standard_normal((300, 6))
         est = truth + 0.3 * rng.standard_normal((300, 6))
-        assert nmse(truth, est, truth_energies=_trial_energies(truth)) == nmse(truth, est)
+        errors = _trial_energies(truth - est)
+        assert nmse_from_errors(errors, _trial_energies(truth)) == nmse(truth, est)
         with pytest.raises(ShapeError):
-            nmse(truth, est, truth_energies=_trial_energies(truth[:299]))
+            nmse_from_errors(errors, _trial_energies(truth[:299]))
 
     def test_all_zero_truth_rejected(self):
         with pytest.raises(MetricError):
@@ -341,7 +342,6 @@ class TestNmse:
         value, half = self.one_shot(truth, est)
         assert score.value == value
         assert score.ci_half_width == half or (np.isnan(half) and np.isnan(score.ci_half_width))
-        assert nmse(truth, est, truth_energies=_trial_energies(truth)).value == value
 
     def test_peak_memory_is_one_block(self):
         truth, est = np.random.default_rng(0).standard_normal((2, 20_000, 64))

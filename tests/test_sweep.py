@@ -16,12 +16,20 @@ from ambcest import (
     ReportRow,
     SystemConfig,
     TrainOptions,
+    build_model,
     complexity_report,
+    link_correlation,
+    ls_estimate,
+    mmse_estimate_vector,
+    nmse,
     run_sweep,
+    simulate_batch,
 )
 from ambcest.channel import TRIAL_BLOCK_BYTES
 from ambcest.sweep import (
     CSV_HEADER,
+    METHODS,
+    _score_point,
     checkpoint_name,
     crld_multiplications,
     format_complexity,
@@ -30,6 +38,7 @@ from ambcest.sweep import (
 from conftest import iid_config
 
 TINY_HYPER = DenoiserHyper(blocks=1, layers_per_block=2, filters=4, ma=4, mb=4, pilots=2)
+SMALL_HYPER = replace(TINY_HYPER, ma=8, mb=8)  # the default 8 x 8 geometry
 FAST_TRAIN = TrainOptions(batch_size=64, max_epochs=2, patience=2)
 
 
@@ -96,40 +105,71 @@ class TestRunSweep:
         want = run_sweep(plan, iid_config(), seed=0).rows
         monkeypatch.setattr(sweep_module, "ls_estimate", counting_ls)
         assert run_sweep(plan, iid_config(), seed=0).rows == want
-        assert len(calls) == len(plan.values)
+        # LS runs once per trial block, so each trial of each point is averaged once
+        assert sum(shape[0] for shape in calls) == plan.trials * len(plan.values)
 
     def test_truth_energies_are_summed_once_per_point(self, monkeypatch):
-        import ambcest.sweep as sweep_module
+        import ambcest.estimators as estimators_module
 
         plan = ExperimentPlan(values=(-6.0, 0.0), methods=("ls", "mmse"), trials=400)
-        real_nmse, real_energies = sweep_module.nmse, sweep_module._trial_energies
-        # each method summing the truth itself, as nmse does when it is given only arrays
-        monkeypatch.setattr(sweep_module, "nmse", lambda truth, est, **_: real_nmse(truth, est))
         want = run_sweep(plan, iid_config(), seed=0).rows
-        monkeypatch.setattr(sweep_module, "nmse", real_nmse)
-        calls = []
+        real_draw, real_energies = estimators_module.draw_truths, estimators_module._trial_energies
+        truths, calls = [], []
+
+        def keeping_draw(*args):
+            truths.append(real_draw(*args))
+            return truths[-1]
 
         def counting_energies(a):
-            calls.append(a.shape)
+            calls.append(any(a.shape == x.shape and np.shares_memory(a, x) for x in truths))
             return real_energies(a)
 
-        monkeypatch.setattr(sweep_module, "_trial_energies", counting_energies)
+        monkeypatch.setattr(estimators_module, "draw_truths", keeping_draw)
+        monkeypatch.setattr(estimators_module, "_trial_energies", counting_energies)
         assert run_sweep(plan, iid_config(), seed=0).rows == want  # bit for bit
-        assert len(calls) == len(plan.values)
+        # the other calls sum each method's errors, one trial block at a time
+        assert calls.count(True) == len(plan.values)
 
+    @pytest.mark.parametrize("methods", [("ls", "mmse"), ("ls", "mmse", "crld")])
     @pytest.mark.parametrize("link", ["direct", "composite"])
-    def test_point_peak_memory_is_y_x_and_one_estimate(self, link):
-        # LS reads y and then y is freed, so MMSE's estimate and the scoring never hold it:
-        # a point's working set is (P + 2) * M * 8 bytes per trial, plus one trial block
+    def test_point_peak_memory_is_x_a_few_floats_per_trial_and_a_few_blocks(self, link, methods):
+        # the observations and the estimates exist one trial block at a time, so a point
+        # holds its truths x, an error per trial and method, the truth energies, and blocks
         cfg, trials = SystemConfig(), 20_000
-        plan = ExperimentPlan(values=(cfg.snr_db,), methods=("ls", "mmse"), links=(link,), trials=trials)
+        model = build_model(SMALL_HYPER, rng=0).eval_mode() if "crld" in methods else None
         tracemalloc.start()
         try:
-            run_sweep(plan, cfg, seed=0)
+            _score_point(cfg, link, methods, trials, np.random.SeedSequence(0), model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (cfg.na + 2) * cfg.m * 8 * trials + TRIAL_BLOCK_BYTES + 2**20
+        x_bytes = trials * cfg.m * 8
+        assert peak <= x_bytes + (len(methods) + 1) * 8 * trials + 3 * TRIAL_BLOCK_BYTES + 2**20
+
+    # one short of a trial block, one block, one past it, a block and the longest tail BLAS
+    # sums differently, a block and 19, and many blocks and a remainder; from 8 pilots on,
+    # LS sums the pilot axis pairwise, which reads the observations' memory layout
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 18, 19, None])
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("link", ["direct", "composite"])
+    def test_rows_equal_the_full_array_reference(self, link, p, extra):
+        cfg = SystemConfig(na=p, nb=p)
+        trials = 20_011 if extra is None else TRIAL_BLOCK_BYTES // (p * cfg.m * 8) + extra
+        model = build_model(replace(SMALL_HYPER, pilots=p), rng=p).eval_mode()
+        seed = np.random.SeedSequence(trials)
+        rows = _score_point(cfg, link, METHODS, trials, seed, model)
+        # simulate_batch, then each method's full estimate array scored by nmse
+        y, x = simulate_batch(cfg, link, trials, np.random.default_rng(seed))
+        ls = ls_estimate(y)
+        estimates = {
+            "ls": ls,
+            "mmse": mmse_estimate_vector(ls, link_correlation(cfg, link), cfg.sigma_u_sq, p),
+            "crld": model.predict(y),
+        }
+        x = x.reshape(trials, -1)
+        for row, method in zip(rows, METHODS):
+            want = nmse(x, estimates[method].reshape(trials, -1))
+            assert (row.method, row.nmse, row.ci_half_width) == (method, want.value, want.ci_half_width)
 
     def test_rows_come_back_in_plan_order(self):
         plan = ExperimentPlan(values=(-6.0, 0.0), methods=("ls", "mmse"), trials=400)

@@ -15,8 +15,11 @@ from ambcest import (
     build_model,
     evaluate,
     generate_dataset,
+    nmse,
+    simulate_batch,
     train,
 )
+from ambcest.channel import TRIAL_BLOCK_BYTES
 from ambcest.training import _mean_loss, _split_indices
 from conftest import iid_config, set_model_to_ls
 
@@ -201,3 +204,13 @@ class TestEvaluate:
         model = build_model(SMALL, rng=0).eval_mode()
         with pytest.raises(ParameterError):
             evaluate(model, iid_config(), "direct", 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("link", ["direct", "composite"])
+    def test_equals_nmse_of_the_full_arrays(self, link):
+        # the draws are scored one trial block at a time: two blocks and a remainder
+        cfg = iid_config().with_(zeta_db=-5.0)
+        trials = 2 * (TRIAL_BLOCK_BYTES // (cfg.na * cfg.m * 8)) + 1000
+        model = build_model(SMALL, rng=1).eval_mode()
+        score = evaluate(model, cfg, link, trials, np.random.default_rng(4))
+        y, x = simulate_batch(cfg, link, trials, np.random.default_rng(4))
+        assert score == nmse(x.reshape(trials, -1), model.predict(y).reshape(trials, -1))
