@@ -5,8 +5,10 @@
 Runs each path once on TRIALS trials (default 20,000) with the package of the checkout
 this script sits in, and prints the peak of the memory that Python allocated during the
 call, in MiB: simulate_batch on the direct link, nmse of its truth against a zero
-estimate (inputs excluded), an LS + MMSE sweep point on each link, and evaluate of the
-default net (B=3, L=8, F=64, seeded weights).  These are the peaks the docstrings of
+estimate (inputs excluded), an LS + MMSE sweep point on each link (its draws included),
+the sweep-classic plan through run_sweep (LS and MMSE over both links and the SNRs
+-10, -4, 2 and 8 dB; its drawer thread holds the next point's truths), and evaluate of
+the default net (B=3, L=8, F=64, seeded weights).  These are the peaks the docstrings of
 those functions cite.  The process's resident size is larger: it adds the interpreter,
 numpy, BLAS and the allocator's slack.
 """
@@ -20,10 +22,25 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from ambcest import DenoiserHyper, SystemConfig, build_model, evaluate, nmse, simulate_batch  # noqa: E402
-from ambcest.sweep import _score_point  # noqa: E402
+from ambcest import (  # noqa: E402
+    DenoiserHyper,
+    ExperimentPlan,
+    SystemConfig,
+    build_model,
+    evaluate,
+    nmse,
+    run_sweep,
+    simulate_batch,
+)
+from ambcest.sweep import _draw_point, _score_point  # noqa: E402
 
 MIB = 2**20
+
+
+def score_point(cfg: SystemConfig, link: str, trials: int) -> list:
+    """An LS + MMSE sweep point, drawn as run_sweep draws it."""
+    seed = np.random.SeedSequence(0)
+    return _score_point(cfg, link, ("ls", "mmse"), _draw_point(cfg, link, trials, seed), None)
 
 
 def traced_peak(fn, *args) -> int:
@@ -49,8 +66,9 @@ def peaks(trials: int) -> dict[str, int]:
     }
     del x, zero
     for link in ("direct", "composite"):
-        out[f"sweep point ls+mmse {link}"] = traced_peak(
-            _score_point, cfg, link, ("ls", "mmse"), trials, np.random.SeedSequence(0), None)
+        out[f"sweep point ls+mmse {link}"] = traced_peak(score_point, cfg, link, trials)
+    plan = ExperimentPlan(values=(-10, -4, 2, 8), links=("direct", "composite"), trials=trials)
+    out["sweep-classic plan run_sweep"] = traced_peak(run_sweep, plan, cfg)
     model = build_model(DenoiserHyper(), rng=0).eval_mode()
     out["evaluate default net"] = traced_peak(evaluate, model, cfg, "direct", trials, rng(0))
     return out

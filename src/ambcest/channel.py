@@ -77,27 +77,74 @@ def sample_gaussian_vector(R: np.ndarray, rng: np.random.Generator, size: int | 
 
 # bytes of per-trial data in one block of the Monte-Carlo loops (the simulator's draws,
 # the per-block estimates, nmse's errors): their temporaries stay this small at any trial count
-TRIAL_BLOCK_BYTES = 1 << 21
+TRIAL_BLOCK_BYTES = 1 << 19
+
+# OpenBLAS runs a GEMM of m * n * k <= 2**18 multiply-adds on the calling thread
+# (65536 * GEMM_MULTITHREAD_THRESHOLD, which defaults to 4); a larger one wakes its
+# thread pool, whose threads then spin on a core for a while after the product ends
+BLAS_CALLER_MNK = 1 << 18
+# fewest rows in one of sliced_matmul's slices: a product over fewer can take BLAS's
+# small-matrix kernels, which sum in another order (up to 12 rows at M = 100, 4 at 256)
+MIN_SLICE_ROWS = 32
 
 
-def trial_blocks(n: int, trial_bytes: int) -> list[slice]:
+def trial_blocks(n: int, trial_bytes: int, min_rows: int = 1) -> list[slice]:
     """Consecutive slices that cover range(n), each TRIAL_BLOCK_BYTES // trial_bytes trials
-    long (at least one).  A remainder shorter than a quarter of that joins the last full
-    block: a product over so few rows can take BLAS's small-matrix or vector kernels, which
-    sum in another order, so the blocks' bits would differ from one product over all n rows.
+    long, but at least `min_rows`; a remainder shorter than `min_rows` joins the last block.
 
-    The quarter is a margin measured on OpenBLAS 0.3.31 (Haswell kernels), not a bound: an
-    (r, M) @ (M, M) product differs from those rows of a tall one for r up to 33, 18 and 4
-    rows at M = 36, 64 and 256, well inside a quarter block at P <= 9.  It does not hold
-    everywhere: with two or more BLAS threads, r <= M rows differ at M = 81 to 121, which
-    exceeds the quarter from P = 7 at M = 100; and at M = 196 and 324 blocks of almost any
-    height differ.  There the blocked draws differ from one product in their last bits.
+    draw_truths passes the slice height of its products (slice_rows), so each of its
+    blocks is either the whole batch, one plain product over all n rows, or at least one
+    slice high, which sliced_matmul runs as slices of exactly that height.  Either way a
+    block's product equals those rows of one (n, M) product wherever sliced_matmul equals
+    a @ m.  A shorter block would be a plain product over a few rows, which BLAS runs
+    through its small-matrix kernels, summing in another order: on OpenBLAS 0.3.31 an
+    (r, M) @ (M, M) product differs from those rows of a tall one for r up to 33, 18, 12
+    and 4 rows at M = 36, 64, 100 and 256 (and up to r = M at M = 81 to 121 with two or
+    more BLAS threads).  A quarter of a 512 KiB block, the margin this rule replaces, is
+    only 18 trials at P = 14, M = 64.
     """
-    step = max(1, TRIAL_BLOCK_BYTES // max(1, trial_bytes))
+    step = max(min_rows, TRIAL_BLOCK_BYTES // max(1, trial_bytes))
     stops = list(range(step, n, step))
-    if stops and n - stops[-1] < step // 4:
+    if stops and n - stops[-1] < min_rows:
         stops.pop()
     return [slice(lo, hi) for lo, hi in zip([0, *stops], [*stops, n])]
+
+
+def slice_rows(k: int, cols: int) -> int:
+    """Rows in each of sliced_matmul's slices for a (k, cols) matrix."""
+    return max(MIN_SLICE_ROWS, BLAS_CALLER_MNK // (k * cols))
+
+
+def sliced_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m for a float64 (n, K) batch a and a (K, N) matrix m, run on the calling thread.
+
+    The rows go through one stacked matmul of slices r = slice_rows(K, N) rows high, so
+    for K * N <= 8192 each GEMM is small enough that OpenBLAS keeps it on the caller and
+    its pool threads sleep.  A remainder is one more slice of r rows that ends at the last
+    row, overlapping the one before it, so no short tail takes another kernel.  m enters
+    the slices in Fortran order: a C-ordered m would send slices of a few hundred rows
+    through the small-matrix kernels, which a tall product skips.  At most r rows are one
+    plain a @ m.
+
+    The result equals a @ m bit for bit on OpenBLAS 0.3.31 at K = N in {16, 36, 64, 100,
+    256}, except where a @ m itself takes other kernels: with two or more BLAS threads,
+    a @ m over r < n <= K rows at K = 81 to 121 splits its columns across threads; and
+    with a C-ordered m at K = 36, 81, 100 and 121, a @ m over up to 10**6 / K**2 rows
+    takes the small-matrix kernels.  There the two differ in their last bits.  At
+    K = 196 and 324, slices of almost any height differ from a tall product.
+    """
+    k, cols = m.shape
+    r = slice_rows(k, cols)
+    n = a.shape[0]
+    if a.ndim != 2 or n <= r:
+        return a @ m
+    m = np.asfortranarray(m)
+    out = np.empty((n, cols), dtype=np.result_type(a, m))
+    whole = n - n % r
+    np.matmul(a[:whole].reshape(-1, r, k), m, out=out[:whole].reshape(-1, r, cols))
+    if whole < n:
+        np.matmul(a[n - r:], m, out=out[n - r:])
+    return out
 
 
 def check_counts(**counts: int) -> None:
@@ -245,62 +292,73 @@ def pilots_for_link(cfg: SystemConfig, link: str) -> int:
     raise ParameterError(f"link must be one of {LINKS}, got {link!r}")
 
 
-def draw_truths(cfg: SystemConfig, link: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The channels of n trials on one link, shape (n, M): simulate_batch's first half.
+def draw_truths(
+    cfg: SystemConfig, link: str, n: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """The channels of n trials on one link, one (block, M) array per trial block of the
+    observations (trial_blocks): simulate_batch's first half.
 
-    The white draws of h fill the result (for the composite link, g's follow them from the
-    same generator), and each trial block of the observations (trial_blocks) is then
-    replaced by its Cholesky product, plus alpha*f*g on the composite link.  The values
-    equal one (n, M) product, bit for bit, with no full-size temporary beside the result.
+    The white draws of h fill every block first (for the composite link, g's follow them
+    from the same generator, one block at a time), and each block is then replaced by its
+    Cholesky product (sliced_matmul), plus alpha*f*g on the composite link.  The values
+    equal one (n, M) product, bit for bit where sliced_matmul equals one.  The blocks are
+    arrays of their own, or views of `out` (n, M) when it is given.
     """
     if n < 1:
         raise ParameterError(f"batch size must be >= 1, got {n}")
     _, alpha = derive_noise_and_alpha(cfg)
-    blocks = trial_blocks(n, pilots_for_link(cfg, link) * cfg.m * 8)  # as observation_blocks'
+    blocks = trial_blocks(n, pilots_for_link(cfg, link) * cfg.m * 8, slice_rows(cfg.m, cfg.m))
     composite = link == LINK_COMPOSITE
     L_h = _cholesky(build_correlation_matrix(cfg.corr_h, cfg.m))
     if composite:
         L_g = _cholesky(build_correlation_matrix(cfg.corr_g, cfg.m))
-    x = rng.standard_normal((n, cfg.m))
-    for block in blocks:
-        h = x[block] @ L_h.T
+    truths = [np.empty((b.stop - b.start, cfg.m)) if out is None else out[b] for b in blocks]
+    for x in truths:
+        rng.standard_normal(out=x)
+    for x in truths:
+        h = sliced_matmul(x, L_h.T)
         if composite:
-            g = rng.standard_normal((block.stop - block.start, cfg.m)) @ L_g.T
+            g = sliced_matmul(rng.standard_normal(x.shape), L_g.T)
             g *= alpha * cfg.f
             h += g
-        x[block] = h
-    return x
+        x[...] = h
+    return truths
 
 
 def observation_blocks(
-    cfg: SystemConfig, link: str, x: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (block, y_block) over the trial blocks of the truths x (n, M), drawn after
-    draw_truths from the same generator: simulate_batch's second half.
+    cfg: SystemConfig, link: str, truths: list[np.ndarray], rng: np.random.Generator,
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Yield (block, x_block, y_block) over the truth blocks of draw_truths, with the noise
+    drawn after them from the same generator: simulate_batch's second half.
 
-    Each block's noise u(p) is drawn (block, P, M) and scaled in place, each pilot slice
-    x + u(p) is written into a C-contiguous (block, M, P) target, and the noise is dropped
-    before the block is yielded.  The target is out[block] when `out` (n, M, P) is given,
-    else one reused block buffer, valid until the next block.  y_block is that target
-    shaped (block, Ma, Mb, P), so a reduction over its pilot axis sums in the order it
-    would over simulate_batch's Y.  The generator fills sequentially, so the noise equals
-    one (n, P, M) draw bit for bit.
+    Each truth block is taken out of `truths` as it is read, so the list ends empty and a
+    block is freed once the caller drops it.  Its noise u(p) is drawn (block, P, M) and
+    scaled in place, each pilot slice x + u(p) is written into a C-contiguous (block, M, P)
+    target, and the noise is dropped before the block is yielded.  The target is
+    out[block] when `out` (n, M, P) is given, else one reused block buffer, valid until
+    the next block.  y_block is that target shaped (block, Ma, Mb, P), so a reduction
+    over its pilot axis sums in the order it would over simulate_batch's Y.  The
+    generator fills sequentially, so the noise equals one (n, P, M) draw bit for bit.
     """
     sigma_u_sq, _ = derive_noise_and_alpha(cfg)
     p = pilots_for_link(cfg, link)
     scale = np.sqrt(sigma_u_sq)
-    blocks = trial_blocks(x.shape[0], p * cfg.m * x.itemsize)
     # without `out`, one block of observations, refilled in place
-    y_buf = np.empty((max(b.stop - b.start for b in blocks), cfg.m, p)) if out is None else None
-    for block in blocks:
-        k = block.stop - block.start
+    y_buf = np.empty((max(x.shape[0] for x in truths), cfg.m, p)) if out is None else None
+    lo = 0
+    while truths:
+        x = truths.pop(0)
+        k = x.shape[0]
+        block = slice(lo, lo + k)
         noise = rng.standard_normal((k, p, cfg.m))
         noise *= scale
         y = out[block] if y_buf is None else y_buf[:k]
         for i in range(p):
-            np.add(x[block], noise[:, i, :], out=y[:, :, i])
+            np.add(x, noise[:, i, :], out=y[:, :, i])
         del noise  # not held while the block is read
-        yield block, y.reshape(k, cfg.ma, cfg.mb, p)
+        yield block, x, y.reshape(k, cfg.ma, cfg.mb, p)
+        lo += k
 
 
 def simulate_batch(
@@ -310,13 +368,13 @@ def simulate_batch(
 
     Returns Y with shape (n, Ma, Mb, P) and the noiseless truth X with shape (n, Ma, Mb),
     both C-contiguous and sharing no memory.  Each pair uses a fresh channel and fresh
-    noise.  It is draw_truths, then observation_blocks writing each block straight into Y,
-    so the working set is Y, X and one trial block: a 31.4 MiB tracemalloc peak at
-    n = 20,000, P = 2, M = 64, of which Y and X are 29.3 MiB.  Monte-Carlo scoring needs
-    no full Y: it runs the two halves itself (estimators.nmse_streamed).
+    noise.  It is draw_truths into X, then observation_blocks writing each block straight
+    into Y, so the working set is Y, X and a trial block or two: a 29.9 MiB tracemalloc
+    peak at n = 20,000, P = 2, M = 64, of which Y and X are 29.3 MiB.  Monte-Carlo
+    scoring needs no full Y: it runs the two halves itself (estimators.nmse_streamed).
     """
-    x = draw_truths(cfg, link, n, rng)
+    x = np.empty((n, cfg.m))
     y = np.empty((n, cfg.m, pilots_for_link(cfg, link)))
-    for _ in observation_blocks(cfg, link, x, rng, out=y):
+    for _ in observation_blocks(cfg, link, draw_truths(cfg, link, n, rng, out=x), rng, out=y):
         pass
     return y.reshape(n, cfg.ma, cfg.mb, -1), vec_to_mat(x, cfg.ma, cfg.mb)

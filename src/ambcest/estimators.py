@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemConfig, draw_truths, observation_blocks, trial_blocks
+from .channel import SystemConfig, observation_blocks, sliced_matmul, trial_blocks
 from .errors import MetricError, NumericError, ParameterError, ShapeError
 
 
@@ -77,13 +77,14 @@ def mmse_estimate_vector(
 ) -> np.ndarray:
     """Conditional-mean estimate R (R + (sigma_u^2/P) I)^-1 y_bar for the P-sample mean.
 
-    y_bar may be a single M-vector or a (n, M) batch.
+    y_bar may be a single M-vector or a (n, M) batch; a batch runs on the calling thread
+    (channel.sliced_matmul).
     """
     G = mmse_gain(R_x, sigma_u_sq, pilots)
     y_bar = np.asarray(y_bar, dtype=np.float64)
     if y_bar.shape[-1] != G.shape[0]:
         raise ShapeError(f"y_bar last dim {y_bar.shape[-1]} != M = {G.shape[0]}")
-    return y_bar @ G.T
+    return sliced_matmul(y_bar, G.T)
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ def nmse(truth: np.ndarray, estimates: np.ndarray) -> NmseEstimate:
     statistics of nmse_from_errors.
 
     The errors x - x_hat are formed one trial block (channel.trial_blocks) at a time, so
-    beyond its inputs nmse holds one block and two floats per trial: a 2.2 MiB tracemalloc
+    beyond its inputs nmse holds one block and two floats per trial: a 0.7 MiB tracemalloc
     peak at n = 20,000, M = 64.
     """
     truth = np.asarray(truth, dtype=np.float64)
@@ -279,29 +280,30 @@ def nmse_from_errors(errors: np.ndarray, energies: np.ndarray) -> NmseEstimate:
 def nmse_streamed(
     cfg: SystemConfig,
     link: str,
-    trials: int,
+    truths: list[np.ndarray],
     rng: np.random.Generator,
     estimate: Callable[[np.ndarray], Iterable[tuple[str, np.ndarray]]],
 ) -> dict[str, NmseEstimate]:
-    """Score estimators on `trials` fresh draws without holding the observations.
+    """Score estimators on fresh draws without holding the observations.
 
-    Draws the truths (channel.draw_truths), then runs one trial block of observations
-    (channel.observation_blocks) at a time through `estimate`, which yields
-    (method, estimates) pairs for a (block, Ma, Mb, P) batch, each estimate array holding
-    block M-entry estimates in any shape.  Each method's per-trial errors go into an (n,)
-    array and the truth energies are summed once, so the results equal simulate_batch's
-    arrays scored by nmse, bit for bit, while the working set is the truths, a few floats
-    per trial and a few trial blocks: a 14.2 MiB tracemalloc peak for LS and MMSE at
-    n = 20,000, P = 2, M = 64, of which the truths are 9.8 MiB.
+    `truths` are the blocks that channel.draw_truths drew from `rng`.  One trial block of
+    observations (channel.observation_blocks) at a time runs through `estimate`, which
+    yields (method, estimates) pairs for a (block, Ma, Mb, P) batch, each estimate array
+    holding block M-entry estimates in any shape.  Each method's per-trial errors and the
+    truth energies go into (n,) arrays, so the results equal simulate_batch's arrays
+    scored by nmse, bit for bit.  Each truth block leaves `truths` and is freed once it is
+    scored, so beyond the truths the working set is a few floats per trial and a few
+    trial blocks: an 11.4 MiB tracemalloc peak for LS and MMSE at n = 20,000, P = 2,
+    M = 64, of which the truths are 9.8 MiB.
     """
-    x = draw_truths(cfg, link, trials, rng)
+    n = sum(x.shape[0] for x in truths)
+    energies = np.empty(n)
     errors = {}
-    for block, y in observation_blocks(cfg, link, x, rng):
-        truth = x[block]
+    for block, truth, y in observation_blocks(cfg, link, truths, rng):
+        energies[block] = _trial_energies(truth)
         for method, est in estimate(y):
             if method not in errors:
-                errors[method] = np.empty(trials)
+                errors[method] = np.empty(n)
             errors[method][block] = _trial_energies(truth - est.reshape(truth.shape))
             del est  # not held while the next estimate is made
-    energies = _trial_energies(x)
     return {method: nmse_from_errors(err, energies) for method, err in errors.items()}

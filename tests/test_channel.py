@@ -19,7 +19,17 @@ from ambcest import (
     sample_gaussian_vector,
     simulate_batch,
 )
-from ambcest.channel import TRIAL_BLOCK_BYTES, pilots_for_link, trial_blocks, vec_to_mat, widen_pilots
+from ambcest.channel import (
+    BLAS_CALLER_MNK,
+    MIN_SLICE_ROWS,
+    TRIAL_BLOCK_BYTES,
+    pilots_for_link,
+    slice_rows,
+    sliced_matmul,
+    trial_blocks,
+    vec_to_mat,
+    widen_pilots,
+)
 from conftest import iid_config
 
 
@@ -206,30 +216,32 @@ class TestAgainstReference:
     # the channels and the noise are drawn one trial block at a time: n one short of a
     # block, one block, one past it, a block and each short tail that a (rows, 64) @ (64, 64)
     # product would send down BLAS's small-matrix kernels (up to 18 rows), a block and 19,
-    # and two blocks and a remainder
+    # and two blocks and a remainder; at 16 pilots a block is 64 trials, one slice
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), *((1, k) for k in range(1, 20)), (2, 3)])
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 16])
     @pytest.mark.parametrize("link", ["direct", "composite"])
     def test_bits_equal_the_reference_across_trial_blocks(self, link, p, blocks, extra):
         cfg = SystemConfig(na=p, nb=p)
         step = TRIAL_BLOCK_BYTES // (p * cfg.m * 8)
         n = blocks * step + extra
-        # a remainder shorter than a quarter block joins the last full one
-        assert len(trial_blocks(n, p * cfg.m * 8)) == blocks + (extra >= step // 4)
+        # a remainder shorter than a slice of the Cholesky product joins the last block
+        r = slice_rows(cfg.m, cfg.m)
+        assert len(trial_blocks(n, p * cfg.m * 8, r)) == blocks + (extra >= r)
         y, x = simulate_batch(cfg, link, n, np.random.default_rng(n))
         y_ref, x_ref = reference_simulate(cfg, link, n, n)
         assert np.array_equal(y.view(np.uint64), y_ref.view(np.uint64))
         assert np.array_equal(x.view(np.uint64), x_ref.view(np.uint64))
 
-    # the quarter-block margin at a larger geometry: at 16 x 16, P = 2, a block is 512
-    # trials and BLAS's small-matrix kernels take a product of up to 4 rows
-    @pytest.mark.parametrize("extra", [1, 4, 5, 127, 128, 129])
+    # the fold at a larger geometry: at 16 x 16, P = 2, a block is 128 trials, a slice 32,
+    # and BLAS's small-matrix kernels take a product of up to 4 rows
+    @pytest.mark.parametrize("extra", [1, 4, 5, 31, 32, 127, 128, 129])
     @pytest.mark.parametrize("link", ["direct", "composite"])
     def test_bits_equal_the_reference_across_trial_blocks_at_16x16(self, link, extra):
         cfg = SystemConfig(m=256, ma=16, mb=16, na=2, nb=2)
         step = TRIAL_BLOCK_BYTES // (2 * cfg.m * 8)
         n = step + extra
-        assert len(trial_blocks(n, 2 * cfg.m * 8)) == 1 + (extra >= step // 4)
+        r = slice_rows(cfg.m, cfg.m)
+        assert len(trial_blocks(n, 2 * cfg.m * 8, r)) == 1 + (extra >= r)
         y, x = simulate_batch(cfg, link, n, np.random.default_rng(n))
         y_ref, x_ref = reference_simulate(cfg, link, n, n)
         assert np.array_equal(y.view(np.uint64), y_ref.view(np.uint64))
@@ -251,7 +263,7 @@ class TestAgainstReference:
 class TestTrialBlocks:
     @pytest.mark.parametrize("n", [1, 2, 99, 100, 101, 124, 125, 126, 400, 401, 424, 425, 1000])
     def test_blocks_tile_the_trials_and_only_a_short_remainder_joins(self, n):
-        blocks = trial_blocks(n, TRIAL_BLOCK_BYTES // 100)  # 100 trials a block
+        blocks = trial_blocks(n, TRIAL_BLOCK_BYTES // 100, 25)  # 100 trials a block
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         assert all(b.stop - b.start == 100 for b in blocks[:-1])
@@ -259,8 +271,41 @@ class TestTrialBlocks:
         assert (last == n if n < 125 else 25 <= last < 125)
         assert len(blocks) == max(1, (n + 75) // 100)
 
+    def test_a_block_is_at_least_min_rows_long(self):
+        blocks = trial_blocks(100, TRIAL_BLOCK_BYTES // 10, 32)  # 10 trials' worth of bytes
+        assert [(b.start, b.stop) for b in blocks] == [(0, 32), (32, 64), (64, 100)]
+
     def test_a_trial_wider_than_a_block_gets_a_block_of_its_own(self):
         assert trial_blocks(3, TRIAL_BLOCK_BYTES + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+class TestSlicedMatmul:
+    @staticmethod
+    def documented_difference(order, k, n, r):
+        """Where sliced_matmul's docstring says a @ m takes other kernels than the slices."""
+        if order == "F":  # a @ m splits its columns across two or more BLAS threads
+            return 81 <= k <= 121 and r < n <= k
+        return k in (36, 81, 100, 121) and r < n <= 10**6 // k**2  # a @ m's small-matrix kernels
+
+    # one row, one short of a slice, one slice, one past it, two slices and a tail, and one
+    # trial block at P = 2; m as draw_truths passes it (a transposed Cholesky factor, in
+    # Fortran order) and as mmse_estimate_vector does (in C order)
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("n_of", ["1", "r-1", "r", "r+1", "2r+5", "block"])
+    @pytest.mark.parametrize("k", [16, 36, 64, 100, 256])
+    def test_bits_equal_one_product(self, k, n_of, order):
+        r = max(MIN_SLICE_ROWS, BLAS_CALLER_MNK // (k * k))
+        n = {"1": 1, "r-1": r - 1, "r": r, "r+1": r + 1, "2r+5": 2 * r + 5,
+             "block": TRIAL_BLOCK_BYTES // (2 * k * 8)}[n_of]
+        m = np.linalg.cholesky(build_correlation_matrix(CorrelationSpec("exponential", 0.9), k)).T
+        if order == "C":
+            m = np.ascontiguousarray(m)
+        a = np.random.default_rng(n).standard_normal((n, k))
+        got, want = sliced_matmul(a, m), a @ m
+        if self.documented_difference(order, k, n, r):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        else:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRealization:

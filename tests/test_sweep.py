@@ -1,6 +1,8 @@
 """Sweep-harness tests: plans, CSV schema, checkpoint reuse, complexity counts."""
 
 import os
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -12,6 +14,7 @@ from ambcest import (
     DenoiserHyper,
     ExperimentPlan,
     NmseReport,
+    NumericError,
     ParameterError,
     ReportRow,
     SystemConfig,
@@ -20,15 +23,18 @@ from ambcest import (
     complexity_report,
     link_correlation,
     ls_estimate,
-    mmse_estimate_vector,
+    mmse_gain,
     nmse,
     run_sweep,
     simulate_batch,
 )
-from ambcest.channel import TRIAL_BLOCK_BYTES
+from ambcest.channel import LINKS, TRIAL_BLOCK_BYTES
+from ambcest.estimators import _trial_energies
+from ambcest.model import PREDICT_CHUNK
 from ambcest.sweep import (
     CSV_HEADER,
     METHODS,
+    _draw_point,
     _score_point,
     checkpoint_name,
     crld_multiplications,
@@ -40,6 +46,22 @@ from conftest import iid_config
 TINY_HYPER = DenoiserHyper(blocks=1, layers_per_block=2, filters=4, ma=4, mb=4, pilots=2)
 SMALL_HYPER = replace(TINY_HYPER, ma=8, mb=8)  # the default 8 x 8 geometry
 FAST_TRAIN = TrainOptions(batch_size=64, max_epochs=2, patience=2)
+BLAS_IS_OPENBLAS = "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"].lower()
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc reads while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def score_point(cfg, link, methods, trials, seed, model):
+    """_score_point over a point drawn from `seed`, as run_sweep draws it."""
+    return _score_point(cfg, link, methods, _draw_point(cfg, link, trials, seed), model)
 
 
 class TestExperimentPlan:
@@ -110,63 +132,100 @@ class TestRunSweep:
 
     def test_truth_energies_are_summed_once_per_point(self, monkeypatch):
         import ambcest.estimators as estimators_module
+        import ambcest.sweep as sweep_module
 
-        plan = ExperimentPlan(values=(-6.0, 0.0), methods=("ls", "mmse"), trials=400)
+        # two trial blocks a point at M = 16
+        plan = ExperimentPlan(values=(-6.0, 0.0), methods=("ls", "mmse"), trials=5_000)
         want = run_sweep(plan, iid_config(), seed=0).rows
-        real_draw, real_energies = estimators_module.draw_truths, estimators_module._trial_energies
-        truths, calls = [], []
+        real_draw, real_energies = sweep_module.draw_truths, estimators_module._trial_energies
+        blocks, summed = [], []
 
         def keeping_draw(*args):
-            truths.append(real_draw(*args))
-            return truths[-1]
+            truths = real_draw(*args)
+            blocks.extend(truths)
+            return truths
 
         def counting_energies(a):
-            calls.append(any(a.shape == x.shape and np.shares_memory(a, x) for x in truths))
+            summed.extend(i for i, x in enumerate(blocks) if a is x)
             return real_energies(a)
 
-        monkeypatch.setattr(estimators_module, "draw_truths", keeping_draw)
+        monkeypatch.setattr(sweep_module, "draw_truths", keeping_draw)
         monkeypatch.setattr(estimators_module, "_trial_energies", counting_energies)
         assert run_sweep(plan, iid_config(), seed=0).rows == want  # bit for bit
-        # the other calls sum each method's errors, one trial block at a time
-        assert calls.count(True) == len(plan.values)
+        # the truths are held one trial block at a time: each block's energies are summed
+        # once, so each truth row is summed once per point; the other calls sum each
+        # method's errors
+        assert len(blocks) == 2 * len(plan.values) and sorted(summed) == list(range(len(blocks)))
+        assert sum(blocks[i].shape[0] for i in summed) == plan.trials * len(plan.values)
 
     @pytest.mark.parametrize("methods", [("ls", "mmse"), ("ls", "mmse", "crld")])
     @pytest.mark.parametrize("link", ["direct", "composite"])
     def test_point_peak_memory_is_x_a_few_floats_per_trial_and_a_few_blocks(self, link, methods):
         # the observations and the estimates exist one trial block at a time, so a point
-        # holds its truths x, an error per trial and method, the truth energies, and blocks
+        # holds its truths x, an error per trial and method, the truth energies, blocks,
+        # and with crld what predict holds for one PREDICT_CHUNK, whatever the block size
         cfg, trials = SystemConfig(), 20_000
         model = build_model(SMALL_HYPER, rng=0).eval_mode() if "crld" in methods else None
-        tracemalloc.start()
-        try:
-            _score_point(cfg, link, methods, trials, np.random.SeedSequence(0), model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        predict_bytes = 0
+        if model is not None:
+            chunk = np.random.default_rng(0).standard_normal((PREDICT_CHUNK, cfg.ma, cfg.mb, 2))
+            predict_bytes = traced_peak(model.predict, chunk)
+        peak = traced_peak(score_point, cfg, link, methods, trials, np.random.SeedSequence(0), model)
         x_bytes = trials * cfg.m * 8
-        assert peak <= x_bytes + (len(methods) + 1) * 8 * trials + 3 * TRIAL_BLOCK_BYTES + 2**20
+        allowance = x_bytes + (len(methods) + 1) * 8 * trials + 3 * TRIAL_BLOCK_BYTES + predict_bytes + 2**20
+        assert allowance < 16 * 2**20  # under 17.4 MiB, the bound with 2 MiB blocks
+        assert peak <= allowance
+
+    @pytest.mark.skipif(not BLAS_IS_OPENBLAS, reason="the thread rule is OpenBLAS's")
+    @pytest.mark.parametrize("link", LINKS)
+    def test_blas_threads_stay_idle_during_a_point(self, link):
+        # every product of a point runs on the calling thread, so OpenBLAS never wakes its
+        # pool, whose threads would spin for a while after each product
+        cfg = SystemConfig()
+        score_point(cfg, link, ("ls", "mmse"), 300, np.random.SeedSequence(1), None)
+        time.sleep(0.5)  # pool threads woken by earlier work go back to sleep
+        cpu, own = time.process_time(), time.thread_time()
+        score_point(cfg, link, ("ls", "mmse"), 20_000, np.random.SeedSequence(0), None)
+        own = time.thread_time() - own
+        others = time.process_time() - cpu - own
+        assert others < 0.05 * own, f"other threads {others:.3f} s against {own:.3f} s"
 
     # one short of a trial block, one block, one past it, a block and the longest tail BLAS
     # sums differently, a block and 19, and many blocks and a remainder; from 8 pilots on,
-    # LS sums the pilot axis pairwise, which reads the observations' memory layout
+    # LS sums the pilot axis pairwise, which reads the observations' memory layout, and at
+    # 16 a block is one slice of the products
     @pytest.mark.parametrize("extra", [-1, 0, 1, 18, 19, None])
-    @pytest.mark.parametrize("p", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 9, 16])
     @pytest.mark.parametrize("link", ["direct", "composite"])
-    def test_rows_equal_the_full_array_reference(self, link, p, extra):
+    def test_rows_equal_the_full_array_reference(self, link, p, extra, monkeypatch):
+        import ambcest.estimators as estimators_module
+
         cfg = SystemConfig(na=p, nb=p)
         trials = 20_011 if extra is None else TRIAL_BLOCK_BYTES // (p * cfg.m * 8) + extra
         model = build_model(replace(SMALL_HYPER, pilots=p), rng=p).eval_mode()
         seed = np.random.SeedSequence(trials)
-        rows = _score_point(cfg, link, METHODS, trials, seed, model)
-        # simulate_batch, then each method's full estimate array scored by nmse
+        real_stats, scored = estimators_module.nmse_from_errors, []
+
+        def keeping_stats(errors, energies):
+            scored.append((errors.copy(), energies.copy()))
+            return real_stats(errors, energies)
+
+        monkeypatch.setattr(estimators_module, "nmse_from_errors", keeping_stats)
+        rows = score_point(cfg, link, METHODS, trials, seed, model)
+        # simulate_batch, then each method's full estimate array as one product
         y, x = simulate_batch(cfg, link, trials, np.random.default_rng(seed))
         ls = ls_estimate(y)
         estimates = {
-            "ls": ls,
-            "mmse": mmse_estimate_vector(ls, link_correlation(cfg, link), cfg.sigma_u_sq, p),
             "crld": model.predict(y),
+            "ls": ls,
+            "mmse": ls @ mmse_gain(link_correlation(cfg, link), cfg.sigma_u_sq, p).T,
         }
         x = x.reshape(trials, -1)
+        # nmse_streamed scores the methods in the order `estimate` yields them
+        for (errors, energies), method in zip(scored, estimates):
+            err = x - estimates[method].reshape(trials, -1)
+            assert np.array_equal(errors.view(np.uint64), _trial_energies(err).view(np.uint64)), method
+            assert np.array_equal(energies.view(np.uint64), _trial_energies(x).view(np.uint64))
         for row, method in zip(rows, METHODS):
             want = nmse(x, estimates[method].reshape(trials, -1))
             assert (row.method, row.nmse, row.ci_half_width) == (method, want.value, want.ci_half_width)
@@ -203,13 +262,58 @@ class TestRunSweep:
         assert report.rows[0].nmse == pytest.approx(0.5, rel=0.1)
         assert report.rows[1].nmse == pytest.approx(0.5 * 10 ** -0.6, rel=0.1)
 
-    def test_worker_pool_reproduces_serial_rows(self):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_pool_reproduces_serial_rows(self, workers):
         plan = ExperimentPlan(values=(-3.0, 0.0, 3.0), methods=("ls", "mmse"), trials=300)
         serial = run_sweep(plan, iid_config(m=16, ma=4, mb=4), seed=5, workers=1)
-        pooled = run_sweep(plan, iid_config(m=16, ma=4, mb=4), seed=5, workers=3)
-        assert [(r.method, r.snr_db, r.nmse) for r in serial.rows] == [
-            (r.method, r.snr_db, r.nmse) for r in pooled.rows
-        ]
+        pooled = run_sweep(plan, iid_config(m=16, ma=4, mb=4), seed=5, workers=workers)
+        assert serial.rows == pooled.rows
+
+    def test_crld_rows_do_not_depend_on_workers(self, tmp_path):
+        plan = ExperimentPlan(values=(-3.0, 0.0, 3.0), methods=METHODS, trials=300)
+        kwargs = dict(checkpoint_dir=str(tmp_path), train_missing=True, hyper=TINY_HYPER,
+                      train_opts=FAST_TRAIN, train_k=256)
+        serial = run_sweep(plan, iid_config(), seed=5, workers=1, **kwargs)
+        assert run_sweep(plan, iid_config(), seed=5, workers=2, **kwargs).rows == serial.rows
+
+    def test_the_drawer_thread_ends_with_the_sweep(self):
+        plan = ExperimentPlan(values=(-3.0, 0.0, 3.0), methods=("ls",), trials=300)
+        before = threading.active_count()
+        run_sweep(plan, iid_config(), seed=5)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failure", ["raise", "infinite noise"])
+    def test_a_failing_draw_raises_in_plan_order(self, failure, monkeypatch):
+        # the third point's draws run while the second point is scored; its error still
+        # comes after the first two points, and no drawer thread outlives it
+        import ambcest.sweep as sweep_module
+
+        values = (-6.0, -3.0, 0.0, 3.0)
+        real_draw, real_score, draws, scored = sweep_module.draw_truths, sweep_module._score_point, [], []
+        if failure == "infinite noise":
+            values, error = (-6.0, -3.0, float("-inf"), 3.0), (ParameterError, "infinite noise power")
+        else:
+            error = (NumericError, "third point")
+
+        def failing_draw(*args):
+            draws.append(args[0].snr_db)
+            if len(draws) == 3:
+                raise NumericError("third point")
+            return real_draw(*args)
+
+        def keeping_score(cfg, *args):
+            scored.append(cfg.snr_db)
+            return real_score(cfg, *args)
+
+        if failure == "raise":
+            monkeypatch.setattr(sweep_module, "draw_truths", failing_draw)
+        monkeypatch.setattr(sweep_module, "_score_point", keeping_score)
+        plan = ExperimentPlan(values=values, methods=("ls", "mmse"), trials=300)
+        before = threading.active_count()
+        with pytest.raises(error[0], match=error[1]):
+            run_sweep(plan, iid_config(), seed=0)
+        assert scored == list(values[:2])
+        assert threading.active_count() == before
 
     def test_missing_checkpoint_is_a_typed_error(self, tmp_path):
         plan = ExperimentPlan(values=(0.0,), methods=("crld",), trials=200)
