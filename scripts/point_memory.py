@@ -7,15 +7,17 @@ this script sits in, and prints the peak of the memory that Python allocated dur
 call, in MiB: simulate_batch on the direct link, nmse of its truth against a zero
 estimate (inputs excluded), an LS + MMSE sweep point on each link (its draws included),
 the sweep-classic plan through run_sweep (LS and MMSE over both links and the SNRs
--10, -4, 2 and 8 dB; its drawer thread holds the next point's truths), and evaluate of
-the default net (B=3, L=8, F=64, seeded weights).  These are the peaks the docstrings of
-those functions cite.  The process's resident size is larger: it adds the interpreter,
+-10, -4, 2 and 8 dB; its drawer thread holds the next point's truths), evaluate of the
+default net (B=3, L=8, F=64, seeded weights), and load_checkpoint of that net (its file
+buffer, which the loaded net's state vector is a view of).  These are the peaks the
+docstrings of those functions cite.  The process's resident size is larger: it adds the interpreter,
 numpy, BLAS and the allocator's slack.
 """
 
 import argparse
 import os
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -28,8 +30,10 @@ from ambcest import (  # noqa: E402
     SystemConfig,
     build_model,
     evaluate,
+    load_checkpoint,
     nmse,
     run_sweep,
+    save_checkpoint,
     simulate_batch,
 )
 from ambcest.sweep import _draw_point, _score_point  # noqa: E402
@@ -71,6 +75,10 @@ def peaks(trials: int) -> dict[str, int]:
     out["sweep-classic plan run_sweep"] = traced_peak(run_sweep, plan, cfg)
     model = build_model(DenoiserHyper(), rng=0).eval_mode()
     out["evaluate default net"] = traced_peak(evaluate, model, cfg, "direct", trials, rng(0))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(model, os.path.join(tmp, "default.ckpt"))
+        del model
+        out["load_checkpoint default net"] = traced_peak(load_checkpoint, os.path.join(tmp, "default.ckpt"))
     return out
 
 

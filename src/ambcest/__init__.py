@@ -22,7 +22,6 @@ from .channel import (
     composite_correlation,
     derive_noise_and_alpha,
     link_correlation,
-    sample_gaussian_vector,
     simulate_batch,
 )
 from .checkpoint import load_checkpoint, save_checkpoint

@@ -44,21 +44,33 @@ def write_artifact(path: str | Path, header: bytes, arrays) -> None:
 
 def read_artifact(path: str | Path, magic: bytes, header: struct.Struct, version: int, what: str) -> tuple:
     """Read a whole artifact whose `header` opens with its magic and u32 version; returns
-    (the header fields after those two, the float64 payload as a read-only array)."""
+    (the header fields after those two, the float64 payload).  The file is read into one
+    writable buffer placed so that the payload starts 8-byte aligned, and the payload is
+    a view of it, so a loader can keep its arrays without a copy."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            stream = b"" if size else fh.read()  # a pipe reports no size: read it whole
+            size = size or len(stream)
+            buf = np.empty(size + 8, dtype=np.uint8)
+            start = -(buf.__array_interface__["data"][0] + header.size) % 8
+            raw = buf[start : start + size]
+            if stream:
+                raw[:] = np.frombuffer(stream, dtype=np.uint8)
+            else:
+                raw = raw[: fh.readinto(raw)]
     except FileNotFoundError:
         raise ArtifactError(f"{what} not found: {path}") from None
     if len(raw) < header.size + _CRC.size:
         raise FormatError(f"{path}: truncated ({len(raw)} bytes is shorter than the header)")
-    if raw[: len(magic)] != magic:
-        raise FormatError(f"{path}: bad magic {raw[: len(magic)]!r}, expected {magic!r}")
-    if zlib.crc32(memoryview(raw)[: -_CRC.size]) != _CRC.unpack_from(raw, len(raw) - _CRC.size)[0]:
+    if raw[: len(magic)].tobytes() != magic:
+        raise FormatError(f"{path}: bad magic {raw[: len(magic)].tobytes()!r}, expected {magic!r}")
+    if zlib.crc32(raw[: -_CRC.size]) != _CRC.unpack_from(raw, len(raw) - _CRC.size)[0]:
         raise FormatError(f"{path}: CRC32 mismatch (corrupted or truncated file)")
     _, found, *fields = header.unpack_from(raw, 0)
     if found != version:
         raise FormatError(f"{path}: unsupported {what} version {found} (supported: {version})")
-    payload = memoryview(raw)[header.size : -_CRC.size]
-    if len(payload) % 8:
-        raise FormatError(f"{path}: payload of {len(payload)} bytes is not whole float64 values")
-    return tuple(fields), np.frombuffer(payload, dtype="<f8")
+    payload = raw[header.size : -_CRC.size]
+    if payload.size % 8:
+        raise FormatError(f"{path}: payload of {payload.size} bytes is not whole float64 values")
+    return tuple(fields), payload.view("<f8")

@@ -62,19 +62,6 @@ def _cholesky(R: np.ndarray) -> np.ndarray:
         raise NumericError(f"covariance is not positive-definite: {exc}") from exc
 
 
-def sample_gaussian_vector(R: np.ndarray, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw zero-mean Gaussian vectors with covariance R via the Cholesky factor.
-
-    Returns shape (M,) when size is None, else (size, M).  Sample covariance over many
-    draws converges to R.
-    """
-    L = _cholesky(R)
-    if size is None:
-        return L @ rng.standard_normal(L.shape[0])
-    z = rng.standard_normal((size, L.shape[0]))
-    return z @ L.T
-
-
 # bytes of per-trial data in one block of the Monte-Carlo loops (the simulator's draws,
 # the per-block estimates, nmse's errors): their temporaries stay this small at any trial count
 TRIAL_BLOCK_BYTES = 1 << 19

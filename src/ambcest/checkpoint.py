@@ -5,15 +5,14 @@ Layout (all little-endian):
     u32     format version (currently 1)
     u32 x8  hyper header: blocks, layers_per_block, filters, ma, mb, pilots,
             kernel_size, recon kind (0 = conv1x1, 1 = dense)
-    f64...  trainable parameters, flattened C-order, in named_parameters() order
-    f64...  batch-norm running statistics, in named_running_stats() order
+    f64...  the net's state vector (ResidualDenoiser.state): the trainable parameters,
+            flattened C-order, in named_parameters() order, then the batch-norm running
+            statistics in named_running_stats() order
     u32     CRC32 of every preceding byte
 """
 
 import struct
 from pathlib import Path
-
-import numpy as np
 
 from .artifact import read_artifact, write_artifact
 from .errors import FormatError, ParameterError
@@ -41,8 +40,7 @@ def save_checkpoint(model: ResidualDenoiser, path: str | Path) -> None:
         hp.kernel_size,
         _RECON_CODES[hp.recon],
     )
-    arrays = [*model.named_parameters().values(), *model.named_running_stats().values()]
-    write_artifact(path, header, arrays)
+    write_artifact(path, header, [model.state])
 
 
 def load_checkpoint(path: str | Path) -> ResidualDenoiser:
@@ -51,7 +49,8 @@ def load_checkpoint(path: str | Path) -> ResidualDenoiser:
     The CRC covers the header, so a corrupted header is reported as a corrupt file
     before any of its fields sizes a model.  The payload size is then checked against
     the header's closed-form state size before any model is built, so a small file
-    whose header claims a huge net allocates nothing.
+    whose header claims a huge net allocates nothing.  The model's state vector is the
+    payload in the file's own buffer, so nothing is copied.
     """
     fields, payload = read_artifact(path, MAGIC, _HEADER, VERSION, "checkpoint")
     b, l, f, ma, mb, p, k, recon_code = fields
@@ -68,8 +67,4 @@ def load_checkpoint(path: str | Path) -> ResidualDenoiser:
         raise FormatError(
             f"checkpoint {path} holds {payload.size} floats, expected {hyper.state_size} for this header"
         )
-    model = ResidualDenoiser(hyper, rng=None)  # zero-initialized slots, filled below
-    slots = {**model.named_parameters(), **model.named_running_stats()}
-    parts = np.split(payload, np.cumsum([arr.size for arr in slots.values()])[:-1])
-    model.load_state_dict({name: part.reshape(arr.shape) for (name, arr), part in zip(slots.items(), parts)})
-    return model.eval_mode()
+    return ResidualDenoiser(hyper, payload).eval_mode()

@@ -141,10 +141,10 @@ def load_dataset(path: str) -> Dataset:
             nb=nb,
             seed=seed,
         )
-        # copies: the payload sits unaligned in a read-only buffer
+        # disjoint views of the file's aligned, writable buffer: no copy
         return Dataset(
-            y=payload[:ny].reshape(k, ma, mb, pilots).copy(),
-            x=payload[ny:].reshape(k, ma, mb).copy(),
+            y=payload[:ny].reshape(k, ma, mb, pilots),
+            x=payload[ny:].reshape(k, ma, mb),
             cfg=cfg,
             link=_LINK_NAMES[link_code],
         )

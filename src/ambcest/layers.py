@@ -11,11 +11,11 @@ The compute dtype follows the input: a float32 input is computed in float32, any
 in float64.  Backward runs in the dtype of the forward it follows.  Parameters and batch
 norm running statistics are float64 master copies, cast to the compute dtype on each
 forward, and gradients are stored as float64, so optimizers and checkpoints see float64
-only.  A float64 input takes exactly the float64 path.
-
-Gradients come from backward: a layer allocates none when it is built, and one that has
-not run backward reads its gradients as zeros (see _Stateful.named_gradients).
+only.  A float64 input takes exactly the float64 path.  The state and gradient arrays are
+views (see _Stateful), which forward and backward write in place and never rebind.
 """
+
+import math
 
 import numpy as np
 
@@ -123,18 +123,49 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     return acc.reshape(h, wd, n, k_out).transpose(2, 0, 1, 3), cols
 
 
+def bind(layers, kind: str, vector: np.ndarray, at: int = 0, prefix: str = "") -> int:
+    """Set each layer's `kind` arrays ("params" or "stats"), named `prefix + name`, to
+    consecutive views of vector from offset at, in layer order; returns the offset after the last."""
+    for layer in layers:
+        for name in getattr(layer, kind):
+            end = at + math.prod(layer.shapes[name])
+            setattr(layer, prefix + name, vector[at:end].reshape(layer.shapes[name]))
+            at = end
+    return at
+
+
 class _Stateful:
     """State naming shared by the layers: `params` names the trainable arrays, each with
-    its gradient in `grad_<name>`, and `stats` the running statistics.  Every dict is
-    keyed `<prefix>.<name>` in declared order and holds the live arrays.
-
-    Each backward stores new gradient arrays; before the first one `grad_<name>` is None,
-    so a layer that is only evaluated holds no gradient memory.  named_gradients reports
-    such a gradient as a fresh zero array of its parameter's shape, which it does not
-    store: reading it leaves the layer as it was."""
+    its gradient in `grad_<name>`, `stats` the running statistics and `shapes` every
+    array's shape.  Every dict is keyed `<prefix>.<name>` in declared order and holds the
+    live arrays: views of the layer's own vector or, with shared=True, of its net's (bind).
+    grad_<name> is None until the first backward of the layer or its net, so an evaluated
+    layer holds no gradient memory; named_gradients then reads zeros that it does not store."""
 
     params: tuple[str, ...] = ()
     stats: tuple[str, ...] = ()
+    ones: tuple[str, ...] = ()  # arrays that start at one; the others start at zero
+
+    def _init_state(self, shapes: dict, shared: bool) -> None:
+        self.shapes = shapes
+        for name in self.params:
+            setattr(self, f"grad_{name}", None)
+        if not shared:
+            vector = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+            bind([self], "stats", vector, bind([self], "params", vector))
+            self.reset()
+
+    def reset(self, rng: np.random.Generator | None = None) -> "_Stateful":
+        """Set the `ones` arrays to one and, given rng, draw a weight w He-uniform: the bits
+        of rng.uniform(-limit, limit, w.shape), limit = sqrt(6 / fan_in).  Returns the layer."""
+        for name in self.ones:
+            getattr(self, name).fill(1.0)
+        if rng is not None and "w" in self.params:
+            limit = math.sqrt(6.0 / math.prod(self.shapes["w"][1:]))
+            rng.random(out=self.w)  # uniform draws low + (high - low) * random()
+            self.w *= 2 * limit
+            self.w -= limit
+        return self
 
     def named_parameters(self, prefix: str) -> dict:
         return {f"{prefix}.{name}": getattr(self, name) for name in self.params}
@@ -145,6 +176,12 @@ class _Stateful:
     def _gradient(self, name: str) -> np.ndarray:
         grad = getattr(self, f"grad_{name}")
         return np.zeros_like(getattr(self, name)) if grad is None else grad
+
+    def _grad(self, name: str) -> np.ndarray:
+        """grad_<name> for backward to write into; a standalone layer allocates it on its first backward."""
+        if getattr(self, f"grad_{name}") is None:
+            setattr(self, f"grad_{name}", np.empty(self.shapes[name]))
+        return getattr(self, f"grad_{name}")
 
     def running_stats(self, prefix: str) -> dict:
         return {f"{prefix}.{name}": getattr(self, name) for name in self.stats}
@@ -173,7 +210,7 @@ class Conv2D(_Stateful):
 
     params = ("w", "b")
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3, *, rng=None):
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3, *, shared=False):
         if kernel_size < 1 or kernel_size % 2 == 0:
             raise ParameterError(f"kernel_size must be odd and >= 1, got {kernel_size}")
         if in_channels < 1 or out_channels < 1:
@@ -181,14 +218,7 @@ class Conv2D(_Stateful):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        fan_in = kernel_size * kernel_size * in_channels
-        if rng is None:
-            self.w = np.zeros((out_channels, kernel_size, kernel_size, in_channels))
-        else:
-            limit = np.sqrt(6.0 / fan_in)  # He-uniform for ReLU stacks
-            self.w = rng.uniform(-limit, limit, size=(out_channels, kernel_size, kernel_size, in_channels))
-        self.b = np.zeros(out_channels)
-        self.grad_w = self.grad_b = None
+        self._init_state({"w": (out_channels, kernel_size, kernel_size, in_channels), "b": (out_channels,)}, shared)
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -213,12 +243,12 @@ class Conv2D(_Stateful):
         w = self.w.astype(cols.dtype, copy=False)
         flipped = w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0)
         grad_in, _ = _conv(grad_out, flipped, np.zeros(c_in, dtype=cols.dtype))
-        self.grad_b = _channel_sum(grad_out)
-        self.grad_w = np.empty_like(self.w)
+        self._grad("b")[...] = _channel_sum(grad_out)
+        grad_w = self._grad("w")
         g_sm = _spatial_major(grad_out)  # no copy for a gradient from the layers above
         g_rows = g_sm.reshape(-1, k_out)
         if cols.ndim == 2:
-            self.grad_w[...] = (g_rows.T @ cols).reshape(k_out, c_in, k, k).transpose(0, 2, 3, 1)
+            grad_w[...] = (g_rows.T @ cols).reshape(k_out, c_in, k, k).transpose(0, 2, 3, 1)
             return grad_in
         rows, step = cols.reshape(-1, c_in), wd * n
         for s in range(-p, p + 1):  # tap column dx = p + s reads input column x + s
@@ -234,7 +264,7 @@ class Conv2D(_Stateful):
                 lo = max(0, -t) * step + max(0, -s) * n
                 hi = max(lo, (h - max(0, t)) * step - max(0, s) * n)
                 off = t * step + s * n
-                self.grad_w[:, p + t, p + s, :] = g[lo:hi].T @ rows[lo + off : hi + off]
+                grad_w[:, p + t, p + s, :] = g[lo:hi].T @ rows[lo + off : hi + off]
         return grad_in
 
 
@@ -243,14 +273,8 @@ class Dense(_Stateful):
 
     params = ("w", "b")
 
-    def __init__(self, in_features: int, out_features: int, *, rng=None):
-        if rng is None:
-            self.w = np.zeros((out_features, in_features))
-        else:
-            limit = np.sqrt(6.0 / in_features)
-            self.w = rng.uniform(-limit, limit, size=(out_features, in_features))
-        self.b = np.zeros(out_features)
-        self.grad_w = self.grad_b = None
+    def __init__(self, in_features: int, out_features: int, *, shared=False):
+        self._init_state({"w": (out_features, in_features), "b": (out_features,)}, shared)
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -266,8 +290,8 @@ class Dense(_Stateful):
         grad_out = np.asarray(grad_out, dtype=self._x.dtype)
         if grad_out.shape != (self._x.shape[0], self.w.shape[0]):
             raise ShapeError("grad_out shape does not match forward output")
-        self.grad_w = (grad_out.T @ self._x).astype(np.float64, copy=False)
-        self.grad_b = grad_out.sum(axis=0, dtype=np.float64)
+        self._grad("w")[...] = grad_out.T @ self._x
+        self._grad("b")[...] = grad_out.sum(axis=0, dtype=np.float64)
         return grad_out @ self.w.astype(grad_out.dtype, copy=False)
 
 
@@ -291,18 +315,15 @@ class BatchNorm2D(_Stateful):
     EVAL = "eval"
     params = ("gamma", "beta")
     stats = ("running_mean", "running_var")
+    ones = ("gamma", "running_var")
     eps = 1e-5
     momentum = 0.1
 
-    def __init__(self, channels: int):
+    def __init__(self, channels: int, *, shared=False):
         if channels < 1:
             raise ParameterError("channels must be positive")
         self.channels = channels
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.grad_gamma = self.grad_beta = None
+        self._init_state(dict.fromkeys(self.params + self.stats, (channels,)), shared)
         self.mode = self.TRAIN
         self._cache = None
 
@@ -320,8 +341,8 @@ class BatchNorm2D(_Stateful):
             xhat = x - mean.astype(dt, copy=False)
             # the population variance as x.var computes it, from the one centred copy
             var = _channel_sum(np.multiply(xhat, xhat, out=out)) / m
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
+            self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
             var = self.running_var
             xhat = x - self.running_mean.astype(dt, copy=False)
@@ -341,16 +362,17 @@ class BatchNorm2D(_Stateful):
         if grad_out.shape != xhat.shape:
             raise ShapeError(f"grad_out shape {grad_out.shape} does not match forward output {xhat.shape}")
         prod = grad_out * xhat
-        self.grad_gamma = _channel_sum(prod)
-        self.grad_beta = _channel_sum(grad_out)
+        grad_gamma, grad_beta = self._grad("gamma"), self._grad("beta")
+        grad_gamma[...] = _channel_sum(prod)
+        grad_beta[...] = _channel_sum(grad_out)
         scale = self.gamma * inv_std
         grad_in = grad_out * scale.astype(dt, copy=False)
         if mode == self.TRAIN:
             # standard BN input gradient through the batch statistics:
             # gamma * inv_std * (g - sum(g) / m - xhat * sum(g * xhat) / m)
             m = xhat.size // xhat.shape[3]
-            grad_in -= (scale * self.grad_beta / m).astype(dt, copy=False)
-            grad_in -= np.multiply(xhat, (scale * self.grad_gamma / m).astype(dt, copy=False), out=prod)
+            grad_in -= (scale * grad_beta / m).astype(dt, copy=False)
+            grad_in -= np.multiply(xhat, (scale * grad_gamma / m).astype(dt, copy=False), out=prod)
         return grad_in
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, StateError
-from .layers import BatchNorm2D, Conv2D, Dense, ReLU, _as_compute
+from .layers import BatchNorm2D, Conv2D, Dense, ReLU, _as_compute, bind
 
 RECON_CONV1X1 = "conv1x1"
 RECON_DENSE = "dense"
@@ -77,14 +77,14 @@ class DenoisingBlock:
     `layers` holds one (conv, bn, relu) stage per layer in forward order; the last
     layer's stage is (conv, None, None)."""
 
-    def __init__(self, hyper: DenoiserHyper, rng: np.random.Generator | None):
+    def __init__(self, hyper: DenoiserHyper):
         p, k, f = hyper.pilots, hyper.kernel_size, hyper.filters
         n_layers = hyper.layers_per_block
         self.layers: list[tuple[Conv2D, BatchNorm2D | None, ReLU | None]] = [
-            (Conv2D(p if layer == 1 else f, f, kernel_size=k, rng=rng), BatchNorm2D(f), ReLU())
+            (Conv2D(p if layer == 1 else f, f, kernel_size=k, shared=True), BatchNorm2D(f, shared=True), ReLU())
             for layer in range(1, n_layers)
         ]
-        self.layers.append((Conv2D(f, p, kernel_size=k, rng=rng), None, None))
+        self.layers.append((Conv2D(f, p, kernel_size=k, shared=True), None, None))
         self.analysis = False
 
     @property
@@ -120,16 +120,37 @@ class DenoisingBlock:
 
 
 class ResidualDenoiser:
-    """The assembled network.  Construct via build_model(); set a mode before forward."""
+    """The assembled network.  Construct via build_model() or load_checkpoint(); set a mode
+    before forward.
 
-    def __init__(self, hyper: DenoiserHyper, rng: np.random.Generator | None):
+    `state`, hyper.state_size floats, is every parameter in named_parameters() order and
+    then every running statistic: the checkpoint payload, which the net adopts as it is.
+    `grad`, the gradients in parameter order, is None until the first backward.  Every
+    layer's arrays are views of the two."""
+
+    def __init__(self, hyper: DenoiserHyper, state: np.ndarray):
         self.hyper = hyper
-        self.blocks = [DenoisingBlock(hyper, rng) for _ in range(hyper.blocks)]
+        self.state, self.grad = state, None
+        self.blocks = [DenoisingBlock(hyper) for _ in range(hyper.blocks)]
         if hyper.recon == RECON_CONV1X1:
-            self.recon = Conv2D(hyper.pilots, 1, kernel_size=1, rng=rng)
+            self.recon = Conv2D(hyper.pilots, 1, kernel_size=1, shared=True)
         else:
-            self.recon = Dense(hyper.ma * hyper.mb * hyper.pilots, hyper.ma * hyper.mb, rng=rng)
+            self.recon = Dense(hyper.ma * hyper.mb * hyper.pilots, hyper.ma * hyper.mb, shared=True)
         self.mode: str | None = None
+        self._bind()
+
+    def _bind(self) -> None:
+        """Bind every layer's parameters, then every layer's running statistics, to views of
+        `state`, and the gradients to views of `grad` if there is one."""
+        layers = [layer for _, layer in self._named_layers()]
+        bind(layers, "stats", self.state, bind(layers, "params", self.state))
+        if self.grad is not None:
+            bind(layers, "params", self.grad, prefix="grad_")
+
+    def __setstate__(self, attrs: dict) -> None:
+        # a deepcopy or unpickling copies each view to an array of its own: bind them again
+        self.__dict__.update(attrs)
+        self._bind()
 
     # -- mode management -------------------------------------------------
 
@@ -151,18 +172,17 @@ class ResidualDenoiser:
     def analysis(self) -> bool:
         """Linear-analysis mode: every block runs its convs alone, without batch norm or ReLU.
 
-        Switching it on resets the batch-norm gradients, which no backward then writes, to
-        none yet (they read as zeros), so an optimizer step cannot apply stale ones from
-        earlier normal-mode training."""
+        Switching it on zeroes the batch-norm gradients, which no backward then writes, so
+        an optimizer step cannot apply stale ones from earlier normal-mode training."""
         return all(block.analysis for block in self.blocks)
 
     @analysis.setter
     def analysis(self, flag: bool) -> None:
         for block in self.blocks:
             block.analysis = bool(flag)
-            if flag:
+            if flag and self.grad is not None:
                 for bn in block.bns:
-                    bn.grad_gamma = bn.grad_beta = None
+                    bn.grad_gamma[...] = bn.grad_beta[...] = 0.0
 
     # -- forward / backward ----------------------------------------------
 
@@ -226,7 +246,10 @@ class ResidualDenoiser:
 
     def backward(self, grad_xhat: np.ndarray) -> np.ndarray:
         """Reverse-mode pass; takes d loss / d X_hat (n, Ma, Mb), returns d loss / d input in
-        the dtype of the forward it follows."""
+        the dtype of the forward it follows.  The first backward allocates `grad`."""
+        if self.grad is None:
+            self.grad = np.zeros(self.num_parameters())
+            self._bind()
         grad_xhat = _as_compute(grad_xhat)
         hp = self.hyper
         if hp.recon == RECON_CONV1X1:
@@ -264,10 +287,10 @@ class ResidualDenoiser:
         return sum(p.size for p in self.named_parameters().values())
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Deep copy of all parameters and BN running statistics."""
-        state = {name: arr.copy() for name, arr in self.named_parameters().items()}
-        state.update({name: arr.copy() for name, arr in self.named_running_stats().items()})
-        return state
+        """All parameters and BN running statistics, as named views of one copy of `state`."""
+        live = {**self.named_parameters(), **self.named_running_stats()}
+        parts = np.split(self.state.copy(), np.cumsum([arr.size for arr in live.values()])[:-1])
+        return {name: part.reshape(arr.shape) for (name, arr), part in zip(live.items(), parts)}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         live = dict(self.named_parameters())
@@ -304,9 +327,15 @@ def _float32(conv: Conv2D) -> Conv2D:
 
 
 def build_model(hyper: DenoiserHyper, rng: np.random.Generator | int) -> ResidualDenoiser:
-    """Construct a freshly initialized network (He-uniform conv weights, zero biases)."""
+    """Construct a freshly initialized network: one zero vector of hyper.state_size floats,
+    then each layer's He-uniform weights drawn from rng into it in checkpoint order."""
     if rng is None:
         raise ParameterError("build_model needs a seed or Generator; rng=None would be unseeded")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return ResidualDenoiser(hyper, rng)
+    if hyper.state_size * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(f"a net of {hyper.state_size} floats is too large to address")
+    model = ResidualDenoiser(hyper, np.zeros(hyper.state_size))
+    for _, layer in model._named_layers():
+        layer.reset(rng)
+    return model

@@ -1,7 +1,8 @@
 """Parameter-update rules: Adam (default) and SGD with momentum.
 
-Optimizers operate on named parameter dicts ({name: array}) and update arrays in place.
-Moment buffers are keyed by parameter name and created lazily on the first step.
+Optimizers operate on named parameter dicts ({name: array}) and update each array in
+place, one elementwise pass per expression; training.train passes a net's whole parameter
+vector as one entry.  Moment buffers are keyed by name and created lazily on the first step.
 """
 
 import numpy as np

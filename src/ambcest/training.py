@@ -129,7 +129,8 @@ def train(
 
     The training batches are cast to float32 once per call, so forward and backward
     compute in float32 while the parameters, their gradients and the optimizer state stay
-    float64.  Validation scores the float64 validation arrays with `predict`.
+    float64.  The optimizer sees the net's parameter vector as one array, which each step
+    updates in one pass.  Validation scores the float64 validation arrays with `predict`.
     """
     if len(ds) < 2:
         raise ParameterError("training needs at least 2 examples (one for validation)")
@@ -148,7 +149,8 @@ def train(
         opts.optimizer, learning_rate=opts.learning_rate, momentum=opts.momentum
     )
     history = TrainHistory(initial_val_loss=_validation_loss(model, y_va, x_va, "initial"))
-    best_state = model.state_dict()
+    best_state = model.state.copy()
+    params = {"net": model.state[: model.num_parameters()]}  # the parameters lead the state
 
     for epoch in range(1, opts.max_epochs + 1):
         model.train_mode()
@@ -162,27 +164,28 @@ def train(
                     pred = model.forward(y_tr[sel])
                     loss, grad = mse_loss(pred, x_tr[sel])
                     model.backward(grad / len(sel))
-                    optimizer.step(model.named_parameters(), model.named_gradients())
+                    optimizer.step(params, {"net": model.grad})
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {bi}: {exc}{_blame(model)}") from exc
             epoch_loss += loss
         val = _validation_loss(model, y_va, x_va, f"epoch {epoch}")
         improved = val < history.best_val_loss
         if improved:
-            best_state = model.state_dict()
+            np.copyto(best_state, model.state)
         history.records.append(EpochRecord(epoch, epoch_loss / len(train_idx), val, improved))
         if epoch - history.best_epoch >= opts.patience:
             break
 
-    model.load_state_dict(best_state)  # still in eval mode from the last validation
+    np.copyto(model.state, best_state)  # still in eval mode from the last validation
     return model, history
 
 
 def _blame(model: ResidualDenoiser) -> str:
-    """Name the first parameter block holding a non-finite value, if any."""
-    for name, p in model.named_parameters().items():
-        if not np.all(np.isfinite(p)):
-            return f" (first non-finite parameter block: {name})"
+    """Name the first parameter block, else gradient block, holding a non-finite value, if any."""
+    for kind, arrays in [("parameter", model.named_parameters()), ("gradient", model.named_gradients())]:
+        for name, arr in arrays.items():
+            if not np.all(np.isfinite(arr)):
+                return f" (first non-finite {kind} block: {name})"
     return ""
 
 

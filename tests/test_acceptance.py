@@ -136,14 +136,14 @@ def _layer_reports(seed):
     rng = np.random.default_rng(seed)
     reports = []
 
-    conv = Conv2D(2, 3, rng=rng)
+    conv = Conv2D(2, 3).reset(rng)
     x = rng.standard_normal((2, 4, 4, 2))
     out = conv.forward(x)
     grad_in = conv.backward(2.0 * out)
     reports.append(grad_check(_sum_squares_after(conv, x), conv.named_parameters("c"), conv.named_gradients("c")))
     reports.append(grad_check_input(_sum_squares_after(conv, x), x, grad_in))
 
-    dense = Dense(6, 4, rng=rng)
+    dense = Dense(6, 4).reset(rng)
     x = rng.standard_normal((3, 6))
     out = dense.forward(x)
     grad_in = dense.backward(2.0 * out)

@@ -3,8 +3,10 @@ corruption properties."""
 
 import os
 import struct
+import threading
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +106,18 @@ class TestReadChecks:
         with pytest.raises(FormatError, match=r"version 99 \(supported: 1\)") as info:
             KINDS[suffix][1](str(path))
         assert str(path) in str(info.value)
+
+    def test_a_pipe_is_read_to_its_end(self, tmp_path, good_files, suffix):
+        # a FIFO reports no size; the reader reads it whole, as it reads a regular file
+        path, regular = tmp_path / f"fifo.{suffix}", tmp_path / f"file.{suffix}"
+        regular.write_bytes(good_files[suffix])
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(good_files[suffix],), daemon=True)
+        writer.start()
+        got, want = KINDS[suffix][1](str(path)), KINDS[suffix][1](str(regular))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert all(np.array_equal(getattr(got, a), getattr(want, a)) for a in ("state", "y", "x") if hasattr(want, a))
 
     @pytest.mark.parametrize("extra", [struct.pack("<d", 0.0), b"\0"])
     def test_longer_payload_is_a_format_error(self, tmp_path, good_files, suffix, extra):

@@ -16,13 +16,13 @@ from ambcest import (
     composite_correlation,
     derive_noise_and_alpha,
     link_correlation,
-    sample_gaussian_vector,
     simulate_batch,
 )
 from ambcest.channel import (
     BLAS_CALLER_MNK,
     MIN_SLICE_ROWS,
     TRIAL_BLOCK_BYTES,
+    _cholesky,
     pilots_for_link,
     slice_rows,
     sliced_matmul,
@@ -31,6 +31,16 @@ from ambcest.channel import (
     widen_pilots,
 )
 from conftest import iid_config
+
+
+def sample_gaussian_vector(R: np.ndarray, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Zero-mean Gaussian vectors with covariance R via its Cholesky factor: shape (M,) when
+    size is None, else (size, M).  The single-product reference the simulator's blocked
+    draws are checked against."""
+    L = _cholesky(R)
+    if size is None:
+        return L @ rng.standard_normal(L.shape[0])
+    return rng.standard_normal((size, L.shape[0])) @ L.T
 
 
 class TestCorrelation:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ambcest import load_checkpoint, load_dataset
+from ambcest import DenoiserHyper, load_checkpoint, load_dataset
 from ambcest.cli import main
 from ambcest.config import _KEYS
 
@@ -435,6 +435,27 @@ class TestExitCodeContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag}={value} must be below 2**32\n"
+
+    # a net under the u32 bound that still needs more than 2**48 bytes: numpy cannot
+    # address the first two (a ParameterError naming the size), and the host cannot hold
+    # the last two (a MemoryError); either is refused at the net's one allocation, before
+    # any layer or block exists
+    @pytest.mark.parametrize("flag, value", [
+        ("--kernel-size", 2**32 - 1), ("--filters", 2**32 - 1),
+        ("--blocks", 2**31 - 1), ("--layers-per-block", 2**32 - 1),
+    ])
+    def test_net_too_large_to_build_on_train_is_2(self, capsys, tmp_path, tiny_dataset, flag, value):
+        ds = load_dataset(tiny_dataset)
+        hyper = DenoiserHyper(ma=ds.cfg.ma, mb=ds.cfg.mb, pilots=ds.pilots, **{flag[2:].replace("-", "_"): value})
+        assert hyper.state_size * 8 > 2**48
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--data", tiny_dataset, "--out", str(out), flag, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        if hyper.state_size * 8 > np.iinfo(np.intp).max:
+            assert str(hyper.state_size) in captured.err
+        assert not out.exists()
 
     # train loads its dataset first, then refuses the flag before it builds any layer
     @pytest.mark.parametrize("value", [2**32, 2**64])

@@ -77,6 +77,20 @@ class TestContainerRoundTrip:
         assert loaded.link == ds.link and loaded.seed == ds.seed
         assert loaded.cfg == ds.cfg  # the generation seed is the config's seed
 
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_loaded_arrays_are_disjoint_views_of_the_file_buffer(self, tmp_path, k):
+        # the 92-byte header leaves the payload unaligned in the file; the reader places
+        # the buffer so that it is aligned in memory, and y and x are not copied
+        path = tmp_path / "data.ambd"
+        save_dataset(generate_dataset(iid_config(), "composite", k, seed=2), str(path))
+        loaded = load_dataset(str(path))
+        for arr in (loaded.y, loaded.x):
+            assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+            assert arr.dtype == np.float64 and arr.dtype.isnative
+            assert arr.__array_interface__["data"][0] % 8 == 0
+            assert arr.base is not None  # a view, not a copy
+        assert not np.shares_memory(loaded.y, loaded.x)
+
     def test_save_is_deterministic(self, tmp_path):
         ds = generate_dataset(iid_config(), "direct", 8, seed=3)
         p1, p2 = tmp_path / "a.ambd", tmp_path / "b.ambd"

@@ -38,13 +38,13 @@ def conv_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class TestConv2D:
     def test_matches_scipy_reference(self, rng):
-        conv = Conv2D(3, 5, kernel_size=3, rng=rng)
+        conv = Conv2D(3, 5, kernel_size=3).reset(rng)
         conv.b = rng.standard_normal(5)
         x = rng.standard_normal((4, 6, 7, 3))
         assert np.allclose(conv.forward(x), conv_reference(x, conv.w, conv.b), atol=1e-12)
 
     def test_matches_scipy_one_by_one(self, rng):
-        conv = Conv2D(2, 3, kernel_size=1, rng=rng)
+        conv = Conv2D(2, 3, kernel_size=1).reset(rng)
         x = rng.standard_normal((2, 4, 4, 2))
         assert np.allclose(conv.forward(x), conv_reference(x, conv.w, conv.b), atol=1e-12)
 
@@ -56,7 +56,7 @@ class TestConv2D:
 
     def test_single_example_rejected(self, rng):
         with pytest.raises(ShapeError):
-            Conv2D(2, 2, rng=rng).forward(rng.standard_normal((4, 4, 2)))
+            Conv2D(2, 2).reset(rng).forward(rng.standard_normal((4, 4, 2)))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ParameterError):
@@ -71,7 +71,7 @@ class TestConv2D:
             Conv2D(1, 1).backward(np.zeros((1, 4, 4, 1)))
 
     def test_parameter_gradients(self, rng):
-        conv = Conv2D(2, 3, rng=rng)
+        conv = Conv2D(2, 3).reset(rng)
         x = rng.standard_normal((2, 4, 4, 2)) + 0.3  # keep away from relu-style kinks
 
         def loss_fn():
@@ -84,7 +84,7 @@ class TestConv2D:
         assert report.passed, str(report)
 
     def test_input_gradient(self, rng):
-        conv = Conv2D(2, 2, rng=rng)
+        conv = Conv2D(2, 2).reset(rng)
         x = rng.standard_normal((1, 3, 3, 2))
         grad_in = conv.backward(2.0 * conv.forward(x))
 
@@ -98,13 +98,13 @@ class TestConv2D:
 
 class TestDense:
     def test_forward_is_affine(self, rng):
-        layer = Dense(3, 2, rng=rng)
+        layer = Dense(3, 2).reset(rng)
         layer.b = rng.standard_normal(2)
         x = rng.standard_normal((5, 3))
         assert np.allclose(layer.forward(x), x @ layer.w.T + layer.b, atol=1e-15)
 
     def test_gradients(self, rng):
-        layer = Dense(4, 3, rng=rng)
+        layer = Dense(4, 3).reset(rng)
         x = rng.standard_normal((6, 4))
 
         def loss_fn():
@@ -236,8 +236,8 @@ class TestMseLoss:
 
 
 stateful_layers = pytest.mark.parametrize("make, x, params, stats", [
-    (lambda rng: Conv2D(2, 3, rng=rng), (2, 4, 4, 2), ["w", "b"], []),
-    (lambda rng: Dense(4, 3, rng=rng), (2, 4), ["w", "b"], []),
+    (lambda rng: Conv2D(2, 3).reset(rng), (2, 4, 4, 2), ["w", "b"], []),
+    (lambda rng: Dense(4, 3).reset(rng), (2, 4), ["w", "b"], []),
     (lambda rng: BatchNorm2D(3), (2, 4, 4, 3), ["gamma", "beta"], ["running_mean", "running_var"]),
 ], ids=["Conv2D", "Dense", "BatchNorm2D"])
 
@@ -246,7 +246,7 @@ stateful_layers = pytest.mark.parametrize("make, x, params, stats", [
 def test_state_naming_returns_the_live_arrays_in_declared_order(make, x, params, stats, rng):
     layer = make(rng)
     out = layer.forward(rng.standard_normal(x))
-    layer.backward(np.ones_like(out))  # backward replaces the gradient arrays
+    layer.backward(np.ones_like(out))  # a standalone layer's first backward allocates its gradients
     for named, keys, attrs in [
         (layer.named_parameters("l"), params, params),
         (layer.named_gradients("l"), params, [f"grad_{name}" for name in params]),
@@ -284,7 +284,7 @@ class TestComputeDtype:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_conv(self, dtype, rng):
-        conv = Conv2D(2, 3, rng=rng)
+        conv = Conv2D(2, 3).reset(rng)
         out = conv.forward(rng.standard_normal((2, 4, 4, 2)).astype(dtype))
         assert out.dtype == dtype
         assert conv.backward(np.ones_like(out)).dtype == dtype
@@ -311,7 +311,7 @@ class TestComputeDtype:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_dense(self, dtype, rng):
-        layer = Dense(4, 3, rng=rng)
+        layer = Dense(4, 3).reset(rng)
         out = layer.forward(rng.standard_normal((5, 4)).astype(dtype))
         assert out.dtype == dtype
         assert layer.backward(np.ones_like(out)).dtype == dtype
@@ -324,13 +324,13 @@ class TestComputeDtype:
         assert type(loss) is float
 
     def test_backward_runs_in_the_forward_dtype(self, rng):
-        conv = Conv2D(2, 3, rng=rng)
+        conv = Conv2D(2, 3).reset(rng)
         out = conv.forward(rng.standard_normal((2, 4, 4, 2)).astype(np.float32))
         assert conv.backward(np.ones(out.shape)).dtype == np.float32
 
     def test_other_dtypes_compute_in_float64(self, rng):
         x = rng.standard_normal((2, 4, 4, 2))
-        conv = Conv2D(2, 3, rng=rng)
+        conv = Conv2D(2, 3).reset(rng)
         assert conv.forward(x.astype(np.float16)).dtype == np.float64
         assert ReLU().forward(np.arange(3)).dtype == np.float64
         _, grad = mse_loss(x.astype(np.float32), x)  # a float64 target keeps float64
@@ -451,7 +451,7 @@ class TestAgainstReference:
         pytest.param(5, 16, 16, (4, 1, 7), id="5-16to16-one-row"),
     ])
     def test_conv(self, k, c_in, c_out, shape, dtype, rng):
-        conv = Conv2D(c_in, c_out, kernel_size=k, rng=rng)
+        conv = Conv2D(c_in, c_out, kernel_size=k).reset(rng)
         conv.b[...] = rng.standard_normal(c_out)
         x = rng.standard_normal((*shape, c_in)).astype(dtype)
         g = rng.standard_normal((*shape, c_out)).astype(dtype)
@@ -476,7 +476,7 @@ class TestAgainstReference:
 
     def test_conv_reads_another_convs_output_in_place(self, rng):
         # a conv output is spatial-major, so the next conv caches its rows without a copy
-        first, second = Conv2D(3, 16, rng=rng), Conv2D(16, 16, rng=rng)
+        first, second = Conv2D(3, 16).reset(rng), Conv2D(16, 16).reset(rng)
         hidden = first.forward(rng.standard_normal((4, 6, 7, 3)))
         second.forward(hidden)
         assert np.shares_memory(second._cache[1], hidden)
@@ -542,7 +542,7 @@ class TestAgainstReference:
 
 def _layer_under_test(kind, channels, rng):
     if kind.startswith("conv"):
-        return Conv2D(channels, 3, kernel_size=int(kind[-1]), rng=rng)
+        return Conv2D(channels, 3, kernel_size=int(kind[-1])).reset(rng)
     if kind == "relu":
         return ReLU()
     return seeded_batch_norm(rng, channels, kind.removeprefix("bn-"))

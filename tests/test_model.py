@@ -1,18 +1,24 @@
 """Network tests: parameter counts, residual identity, gradients, checkpoint I/O."""
 
+import copy
 import itertools
 import os
+import pickle
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambcest import (
+    Adam,
     DenoiserHyper,
     FormatError,
     ParameterError,
@@ -569,6 +575,19 @@ class TestResidentMemory:
         _, held = traced_after(lambda: load_checkpoint(tmp_path / "model.ckpt"))
         assert held <= hyper.state_size * 8 + self.SLACK
 
+    def test_loading_peaks_at_one_copy_of_the_state(self, tmp_path):
+        # the file is read into one buffer and the net's views are built onto its payload;
+        # a load that built a zero model and copied the payload in peaked at twice the state
+        hyper = DenoiserHyper()
+        save_checkpoint(build_model(hyper, rng=0), tmp_path / "model.ckpt")
+        tracemalloc.start()
+        try:
+            load_checkpoint(tmp_path / "model.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= hyper.state_size * 8 + self.SLACK
+
     def test_gradients_read_zero_before_any_backward(self):
         model = build_model(C7, rng=0)
         params, grads = model.named_parameters(), model.named_gradients()
@@ -579,13 +598,99 @@ class TestResidentMemory:
         assert model.named_gradients()["recon.w"] is not grads["recon.w"]  # fresh zeros, not stored
 
     def test_analysis_mode_resets_the_batch_norm_gradients(self):
+        # the gradients are views of the net's one vector, so the switch zeroes them in place
         model = build_model(C7, rng=0).train_mode()
-        model.forward(np.ones((2, 8, 8, 2)))
+        model.forward(np.random.default_rng(0).standard_normal((2, 8, 8, 2)))
         model.backward(np.ones((2, 8, 8)))
+        is_bn = [".bn" in name for name in model.named_gradients()]
+        assert any(np.any(g) for g, bn in zip(model.named_gradients().values(), is_bn) if bn)
         model.analysis = True
-        bns = [bn for block in model.blocks for bn in block.bns]
-        assert all(bn.grad_gamma is None and bn.grad_beta is None for bn in bns)
-        assert model.recon.grad_w is not None  # a conv keeps its last gradient
+        grads = model.named_gradients()
+        assert all(not np.any(g) for g, bn in zip(grads.values(), is_bn) if bn)
+        assert np.any(grads["recon.w"])  # a conv keeps its last gradient
+        before = {name: p.copy() for name, p in model.named_parameters().items()}
+        Adam(learning_rate=0.1).step({"net": model.state[: model.num_parameters()]}, {"net": model.grad})
+        after = model.named_parameters()
+        for name, bn in zip(before, is_bn):
+            assert np.array_equal(after[name], before[name]) == bn, name
+
+
+def offsets(named: dict) -> dict:
+    """Each named array's offset, in floats, in a vector holding them in order."""
+    out, at = {}, 0
+    for name, arr in named.items():
+        out[name], at = at, at + arr.size
+    return out
+
+
+def assert_views_at_offsets(named: dict, vector: np.ndarray, start: int = 0) -> None:
+    base = vector.__array_interface__["data"][0]
+    for (name, arr), at in zip(named.items(), offsets(named).values()):
+        assert arr.base is not None and np.shares_memory(arr, vector), name
+        assert arr.__array_interface__["data"][0] == base + 8 * (start + at), name
+        assert arr.flags.c_contiguous and arr.dtype == np.float64, name
+
+
+small_hypers = st.builds(
+    DenoiserHyper, blocks=st.integers(1, 2), layers_per_block=st.integers(2, 3),
+    filters=st.integers(1, 3), ma=st.integers(1, 3), mb=st.integers(1, 3),
+    pilots=st.integers(1, 2), kernel_size=st.sampled_from([1, 3]),
+    recon=st.sampled_from(["conv1x1", "dense"]))
+
+
+class TestStateVector:
+    """One float64 vector per net: its parameters, then its running statistics, is the
+    checkpoint payload byte for byte; the gradients are one more vector."""
+
+    @settings(max_examples=25)
+    @given(hyper=small_hypers)
+    def test_every_array_is_a_view_of_the_net_vectors(self, hyper):
+        model = build_model(hyper, rng=1)
+        params, stats = model.named_parameters(), model.named_running_stats()
+        assert model.state.shape == (hyper.state_size,) and model.grad is None
+        assert_views_at_offsets(params, model.state)
+        assert_views_at_offsets(stats, model.state, model.num_parameters())
+        rng = np.random.default_rng(0)
+        model.train_mode().forward(rng.standard_normal((2, hyper.ma, hyper.mb, hyper.pilots)))
+        model.backward(np.ones((2, hyper.ma, hyper.mb)))
+        assert model.grad.shape == (model.num_parameters(),)
+        assert_views_at_offsets(model.named_gradients(), model.grad)
+        assert_views_at_offsets(model.named_parameters(), model.state)  # still, after the backward
+
+    @settings(max_examples=25)
+    @given(hyper=small_hypers)
+    def test_checkpoint_is_header_vector_and_crc(self, hyper):
+        model = build_model(hyper, rng=2).train_mode()
+        model.forward(np.random.default_rng(0).standard_normal((3, hyper.ma, hyper.mb, hyper.pilots)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(model, path)
+            raw = path.read_bytes()
+            loaded = load_checkpoint(path)
+        assert raw[40:-4] == model.state.tobytes()
+        assert struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[:-4])
+        assert np.array_equal(loaded.state, model.state)
+        assert_views_at_offsets(loaded.named_parameters(), loaded.state)
+        assert_views_at_offsets(loaded.named_running_stats(), loaded.state, loaded.num_parameters())
+
+    @settings(max_examples=15)
+    @given(hyper=small_hypers, backward=st.booleans(), how=st.sampled_from(["clone", "deepcopy", "pickle"]))
+    def test_a_copy_owns_its_vectors(self, hyper, backward, how):
+        model = build_model(hyper, rng=3).train_mode()
+        if backward:
+            model.forward(np.ones((2, hyper.ma, hyper.mb, hyper.pilots)))
+            model.backward(np.ones((2, hyper.ma, hyper.mb)))
+        copies = {"clone": model.clone, "deepcopy": lambda: copy.deepcopy(model),
+                  "pickle": lambda: pickle.loads(pickle.dumps(model))}
+        twin = copies[how]()
+        assert np.array_equal(twin.state, model.state) and not np.shares_memory(twin.state, model.state)
+        assert_views_at_offsets(twin.named_parameters(), twin.state)
+        assert_views_at_offsets(twin.named_running_stats(), twin.state, twin.num_parameters())
+        if backward:
+            assert np.array_equal(twin.grad, model.grad) and not np.shares_memory(twin.grad, model.grad)
+            assert_views_at_offsets(twin.named_gradients(), twin.grad)
+        else:
+            assert twin.grad is None
 
 
 class TestCheckpoint:

@@ -16,7 +16,7 @@ def _load_point_memory():
 point_memory = _load_point_memory()
 
 NAMES = ["simulate_batch", "nmse", "sweep point ls+mmse direct", "sweep point ls+mmse composite",
-         "sweep-classic plan run_sweep", "evaluate default net"]
+         "sweep-classic plan run_sweep", "evaluate default net", "load_checkpoint default net"]
 
 
 def test_prints_one_peak_per_path(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ambcest import (
+    BatchNorm2D,
     DenoiserHyper,
     NumericError,
     ParameterError,
@@ -142,6 +143,18 @@ class TestTrain:
         model.recon.w[...] = np.nan
         with pytest.raises(NumericError, match=r"initial validation.*recon\.w"):
             train(model, ds, TrainOptions(batch_size=32, max_epochs=2, patience=2))
+
+    def test_non_finite_gradient_names_its_block(self, monkeypatch):
+        backward = BatchNorm2D.backward
+
+        def poisoned(self, grad_out):
+            grad_in = backward(self, grad_out)
+            self.grad_beta[0] = np.inf
+            return grad_in
+
+        monkeypatch.setattr(BatchNorm2D, "backward", poisoned)
+        with pytest.raises(NumericError, match=r"epoch 1, batch 0: .*gradient block: block0\.bn1\.beta\)"):
+            train(build_model(SMALL, rng=0), small_dataset(k=64), TrainOptions(batch_size=32, max_epochs=1))
 
     def test_divergence_aborts_with_epoch_and_batch(self):
         ds = small_dataset(k=128)
