@@ -9,9 +9,10 @@ estimate (inputs excluded), an LS + MMSE sweep point on each link (its draws inc
 the sweep-classic plan through run_sweep (LS and MMSE over both links and the SNRs
 -10, -4, 2 and 8 dB; its drawer thread holds the next point's truths), evaluate of the
 default net (B=3, L=8, F=64, seeded weights), and load_checkpoint of that net (its file
-buffer, which the loaded net's state vector is a view of).  These are the peaks the
-docstrings of those functions cite.  The process's resident size is larger: it adds the interpreter,
-numpy, BLAS and the allocator's slack.
+buffer, which the loaded net's state vector is a view of).  README quotes one set of
+these peaks; the docstrings of those functions state each bound in words.  The
+process's resident size is larger: it adds the interpreter, numpy, BLAS and the
+allocator's slack.
 """
 
 import argparse

@@ -356,9 +356,8 @@ def simulate_batch(
     Returns Y with shape (n, Ma, Mb, P) and the noiseless truth X with shape (n, Ma, Mb),
     both C-contiguous and sharing no memory.  Each pair uses a fresh channel and fresh
     noise.  It is draw_truths into X, then observation_blocks writing each block straight
-    into Y, so the working set is Y, X and a trial block or two: a 29.9 MiB tracemalloc
-    peak at n = 20,000, P = 2, M = 64, of which Y and X are 29.3 MiB.  Monte-Carlo
-    scoring needs no full Y: it runs the two halves itself (estimators.nmse_streamed).
+    into Y, so the working set is Y, X and a trial block or two.  Monte-Carlo scoring
+    needs no full Y: it runs the two halves itself (estimators.nmse_streamed).
     """
     x = np.empty((n, cfg.m))
     y = np.empty((n, cfg.m, pilots_for_link(cfg, link)))

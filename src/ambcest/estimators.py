@@ -230,8 +230,7 @@ def nmse(truth: np.ndarray, estimates: np.ndarray) -> NmseEstimate:
     statistics of nmse_from_errors.
 
     The errors x - x_hat are formed one trial block (channel.trial_blocks) at a time, so
-    beyond its inputs nmse holds one block and two floats per trial: a 0.7 MiB tracemalloc
-    peak at n = 20,000, M = 64.
+    beyond its inputs nmse holds one block and two floats per trial.
     """
     truth = np.asarray(truth, dtype=np.float64)
     estimates = np.asarray(estimates, dtype=np.float64)
@@ -293,8 +292,7 @@ def nmse_streamed(
     truth energies go into (n,) arrays, so the results equal simulate_batch's arrays
     scored by nmse, bit for bit.  Each truth block leaves `truths` and is freed once it is
     scored, so beyond the truths the working set is a few floats per trial and a few
-    trial blocks: an 11.4 MiB tracemalloc peak for LS and MMSE at n = 20,000, P = 2,
-    M = 64, of which the truths are 9.8 MiB.
+    trial blocks.
     """
     n = sum(x.shape[0] for x in truths)
     energies = np.empty(n)

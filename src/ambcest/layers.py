@@ -15,7 +15,11 @@ only.  A float64 input takes exactly the float64 path.  The state and gradient a
 views (see _Stateful), which forward and backward write in place and never rebind.
 """
 
+import ctypes
 import math
+import os
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +75,103 @@ _IM2COL_DEPTH = 32
 # adds into stay in cache
 _BLOCK_BYTES = 1 << 19
 
+# OpenBLAS facts behind the fused taps of _conv, measured on OpenBLAS 0.3.31 (SkylakeX
+# core, 1 and 2 threads; scan in CHANGES.md).  A GEMM whose contraction is longer than
+# its K panel (384 for dgemm, 448 for sgemm) adds into C one panel at a time, so with
+# beta = 1 the old C joins the sum before the last panel and the bits change
+BLAS_K_PANEL = 384
+# a small GEMM may take OpenBLAS's small-matrix kernels, which sum in another order than
+# the large-matrix path of a whole block of rows: per-row calls differed up to 442,368
+# multiply-adds and agreed from 2**20 up
+BLAS_FUSED_MNK = 1 << 20
+# a per-row call over fewer rows can cost more than the numpy add it replaces at two
+# BLAS threads (64 -> 64 at 259-280 rows: 3-19% slower; 128 -> 128 at 112 rows: 20-40%);
+# every shape from 448 rows and 2**20 multiply-adds up was faster at 1 and 2 threads
+BLAS_FUSED_ROWS = 448
+
+
+class _Blas(NamedTuple):
+    path: str  # the library file
+    gemm: dict  # {dtype: cblas_?gemm}
+
+
+def _numpy_openblas() -> _Blas | None:
+    """cblas_sgemm and cblas_dgemm of the OpenBLAS library numpy itself loaded, or None.
+
+    numpy >= 2 manylinux wheels ship it as numpy.libs/libscipy_openblas64_-*.so, with
+    64-bit integer arguments.  It is opened with RTLD_NOLOAD, so this returns the copy
+    that is already loaded, with numpy's thread pool and OPENBLAS_NUM_THREADS, and never
+    loads a library of its own (such as scipy's); any other numpy gets None.
+    """
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if len(libs) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        fns = {np.dtype(np.float32): (lib.scipy_cblas_sgemm64_, ctypes.c_float),
+               np.dtype(np.float64): (lib.scipy_cblas_dgemm64_, ctypes.c_double)}
+    except (OSError, AttributeError):
+        return None
+    i32, i64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+    for fn, scalar in fns.values():
+        # order, trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
+        fn.argtypes = [i32, i32, i32, i64, i64, i64, scalar, ptr, i64, ptr, i64, scalar, ptr, i64]
+        fn.restype = None
+    return _Blas(str(libs[0]), {dtype: fn for dtype, (fn, _) in fns.items()})
+
+
+_BLAS = _numpy_openblas()
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
+
+
+class _GemmAdd:
+    """out[o : o + m] += a[i : i + m] @ b as one cblas_?gemm call with beta = 1.
+
+    The operands are checked once: a common float dtype, a and out with rows of unit
+    stride, b with a unit stride along either axis (passed transposed along its rows, as
+    numpy's matmul passes it).  Each call checks its row ranges against a and out.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, out: np.ndarray):
+        item = a.itemsize
+        (m_a, k), (m_out, n) = a.shape, out.shape
+        if b.strides[1] == item:
+            self.trans_b, ldb = _NO_TRANS, b.strides[0]
+        else:
+            self.trans_b, ldb = _TRANS, b.strides[1]
+        ok = (
+            a.dtype == b.dtype == out.dtype and a.dtype in _BLAS.gemm and b.shape == (k, n)
+            and a.strides[1] == out.strides[1] == item and min(b.strides) == item
+            and a.strides[0] >= k * item and out.strides[0] >= n * item
+            and ldb >= (n if self.trans_b == _NO_TRANS else k) * item
+            and a.strides[0] % item == out.strides[0] % item == ldb % item == 0
+        )
+        if not ok:
+            raise ShapeError(f"no BLAS add for {a.dtype}{a.shape}{a.strides} @ {b.dtype}{b.shape}{b.strides}"
+                             f" into {out.dtype}{out.shape}{out.strides}")
+        self.fn, self.m_a, self.m_out, self.k, self.n = _BLAS.gemm[a.dtype], m_a, m_out, k, n
+        self.operands = (a, b, out)  # the pointers below stay valid while this object lives
+        self.a, self.b, self.out = a.ctypes.data, b.ctypes.data, out.ctypes.data
+        self.a_row, self.out_row = a.strides[0], out.strides[0]
+        self.lda, self.ldb, self.ldc = a.strides[0] // item, ldb // item, out.strides[0] // item
+
+    def __call__(self, i: int, o: int, m: int) -> None:
+        if not (m > 0 and 0 <= i and i + m <= self.m_a and 0 <= o and o + m <= self.m_out):
+            raise ShapeError(f"rows [{i}, {i + m}) -> [{o}, {o + m}) out of range")
+        self.fn(_ROW_MAJOR, _NO_TRANS, self.trans_b, m, self.n, self.k, 1.0, self.a + i * self.a_row, self.lda,
+                self.b, self.ldb, 1.0, self.out + o * self.out_row, self.ldc)
+
+
+def _fused_taps(n: int, wd: int, c: int, k_out: int, k: int) -> bool:
+    """Whether _conv's shifted taps add into the output inside BLAS (_GemmAdd) rather than
+    through a numpy add.  They do where the bits are known to be the same: numpy's BLAS
+    was found, the contraction fits one K panel, no product is a matrix-vector one
+    (numpy takes gemv for those), and every per-row call has at least BLAS_FUSED_ROWS
+    rows and BLAS_FUSED_MNK multiply-adds."""
+    rows = (wd - min(k // 2, wd - 1)) * n  # the shortest per-row call: the widest column shift
+    return (_BLAS is not None and 2 <= c <= BLAS_K_PANEL and k_out >= 2 and rows >= BLAS_FUSED_ROWS
+            and rows * c * k_out >= BLAS_FUSED_MNK)
+
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padded stride-1 convolution of a batch x (N, H, W, C) with filters w (K, k, k, C)
@@ -83,8 +184,16 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     of the padded input, or its rows when k = 1.  Any other input takes one GEMM per tap
     over cols, the spatial-major x (H, W, N, C): tap (dy, dx) reads the contiguous rows
     whose source row y + dy - p lies on the grid, and its product is added into the
-    output shifted by dx - p columns.  The taps run over blocks of output rows, so a
-    tap's product is added while it is still in cache.
+    output shifted by dx - p columns.  The taps run over blocks of output rows, so the
+    rows a tap adds into are still in cache.
+
+    The centre tap's GEMM writes the output.  numpy's matmul cannot add into its output,
+    so on the numpy path each shifted tap's product lands in a buffer and a numpy add
+    follows.  Where _fused_taps holds, each shifted tap instead adds into the output
+    inside BLAS, one cblas_?gemm call with beta = 1 per output image row, because a
+    column shift leaves the rows of one tap non-contiguous.  Both paths add the taps in
+    the same order, and on OpenBLAS 0.3.31 (SkylakeX core, 1 and 2 threads) their
+    outputs are equal bit for bit wherever the rule holds.
     """
     n, h, wd, c = x.shape
     k_out, k = w.shape[0], w.shape[1]
@@ -104,9 +213,12 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
         step = wd * n
         acc = np.empty((h * step, k_out), dtype=x.dtype)
         block = max(1, _BLOCK_BYTES // (step * k_out * x.itemsize))  # output rows y per block
-        tmp = np.empty((min(h, block) * step, k_out), dtype=x.dtype)
         # the centre tap covers every output and starts the sum; a shift of W or more adds nothing
         shifted = [(dy, dx) for dy in range(k) for dx in range(k) if (dy, dx) != (p, p) and abs(dx - p) < wd]
+        if _fused_taps(n, wd, c, k_out, k):
+            gemm_add = {tap: _GemmAdd(rows, taps[tap], acc) for tap in shifted}
+        else:
+            gemm_add, tmp = None, np.empty((min(h, block) * step, k_out), dtype=x.dtype)
         for y0 in range(0, h, block):
             y1 = min(h, y0 + block)
             acc_rows = acc[y0 * step : y1 * step]
@@ -115,6 +227,14 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
             for dy, dx in shifted:
                 t, s = dy - p, dx - p  # output rows [ya, yb) read input rows y + t on the grid
                 ya, yb = max(y0, -t), max(y0, -t, min(y1, h - t))
+                if gemm_add:
+                    # output columns [x0, W - max(0, s)) of row y: one run of rows, and its
+                    # source run starts (t*W + s)*N rows further on
+                    x0, run = max(0, -s), (wd - abs(s)) * n
+                    for y in range(ya, yb):
+                        out_row = (y * wd + x0) * n
+                        gemm_add[dy, dx](out_row + (t * wd + s) * n, out_row, run)
+                    continue
                 prod = tmp[: (yb - ya) * step]
                 np.matmul(rows[(ya + t) * step : (yb + t) * step], taps[dy, dx], out=prod)
                 prod_cols = prod.reshape(yb - ya, wd, n * k_out)
@@ -195,6 +315,10 @@ class Conv2D(_Stateful):
     The kernel _conv picks its layout from the shape: one im2col GEMM for a shallow input
     (k*k*C_in <= 32, such as each block's P -> F first conv, or any 1x1 conv), otherwise
     one GEMM per tap over the input's spatial-major rows, with no window or padded copy.
+    Where _fused_taps holds (numpy's own OpenBLAS was found, C_in <= BLAS_K_PANEL, and
+    the per-row products are large enough, as for the default net's F -> F convs at a
+    batch of 64 or more), each shifted tap adds into the output inside BLAS; elsewhere
+    a numpy add follows each tap's GEMM.  Both give the same bits on the host _conv names.
     The output is a view of spatial-major memory, which the next conv, after BN and ReLU,
     reads in place.  Forward caches only the rows its layout reads, which may share memory
     with its input.

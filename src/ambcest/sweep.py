@@ -166,8 +166,7 @@ def _score_point(
     The methods score the same draws one trial block at a time (nmse_streamed): LS once
     per block, MMSE as that block's LS times the point's Wiener map, and CRLD as the
     net's prediction.  A point holds its truths, a few floats per trial and a few trial
-    blocks, never the observations or a full estimate: an 11.4 MiB tracemalloc peak for
-    LS and MMSE at 20,000 trials, P = 2, M = 64, on either link, its draws included.
+    blocks, never the observations or a full estimate.
     """
     p = pilots_for_link(cfg, link)
     if "mmse" in methods:
@@ -221,9 +220,7 @@ def run_sweep(
     Each point gets its own spawned seed, so the report is reproducible under a fixed
     `seed` regardless of worker scheduling.  With one worker, a drawer thread draws the
     truths of the next point while this thread scores the current one, so at most two
-    points' truths are held: a 21.2 MiB tracemalloc peak for LS and MMSE over both links
-    and four SNRs at 20,000 trials, P = 2, M = 64.  With more workers, each draws and
-    scores its own points.
+    points' truths are held.  With more workers, each draws and scores its own points.
     Either way, each point's draws come from its own generator in the same order, so
     the rows do not depend on `workers`.  An error is raised in plan order.
     """

@@ -200,8 +200,7 @@ def evaluate(
 
     Returns the batch NMSE of its Ma x Mb outputs, read as M-vectors, with its confidence
     half-width.  The draws are scored one trial block at a time (nmse_streamed), so the
-    working set is the truths, two floats per trial, a trial block and predict's chunk: a
-    22.3 MiB tracemalloc peak for the default net at 20,000 trials, P = 2, M = 64.
+    working set is the truths, two floats per trial, a trial block and predict's chunk.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")

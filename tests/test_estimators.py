@@ -1,5 +1,6 @@
 """Estimator tests: LS risk, Wiener gains, matrix form vs brute force, NMSE metric."""
 
+import json
 import os
 import subprocess
 import sys
@@ -359,12 +360,27 @@ class TestNmse:
         assert list(T_975) == [float(stats.t.ppf(0.975, df)) for df in range(1, NMSE_CI_BATCHES)]
 
     def test_package_import_loads_no_scipy(self):
-        # importing scipy.stats costs about 70 MiB of resident memory and 1 s of start-up
+        # importing scipy.stats costs about 70 MiB of resident memory and 1 s of start-up;
+        # a default-net predict (whose F -> F convs take numpy's OpenBLAS through ctypes
+        # where it is found) loads no scipy module and no second BLAS library either
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = "import sys, ambcest, ambcest.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        code = (
+            "import json, os, sys, numpy as np, ambcest, ambcest.cli\n"
+            "from ambcest import layers\n"
+            "ambcest.build_model(ambcest.DenoiserHyper(), rng=0).eval_mode().predict(np.zeros((40, 8, 8, 2), np.float32))\n"
+            "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else ''\n"
+            "print(json.dumps({'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy'],\n"
+            "                  'numpy': os.path.dirname(os.path.dirname(np.__file__)),\n"
+            "                  'blas': layers._BLAS and layers._BLAS.path, 'maps': maps}))\n"
+        )
         proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120, check=True)
-        assert proc.stdout.strip() == "[]"
+        out = json.loads(proc.stdout)
+        assert out["scipy"] == []
+        assert "scipy.libs" not in out["maps"]
+        if out["blas"] is not None:
+            assert Path(out["blas"]).parent == Path(out["numpy"]).resolve() / "numpy.libs"
+            assert not out["maps"] or out["blas"] in out["maps"]
 
 
 class TestNmseProperties:

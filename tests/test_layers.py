@@ -1,5 +1,12 @@
-"""Layer tests: conv against a scipy oracle, batch norm moments, activations, loss, and the
-layers against the reference formulas they replaced."""
+"""Layer tests: conv against a scipy oracle, batch norm moments, activations, loss, the
+layers against the reference formulas they replaced, and the conv's fused taps against
+its numpy path."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,37 +426,59 @@ def seeded_batch_norm(rng, channels, mode):
     return bn
 
 
+CONV_CASES = [
+    pytest.param(1, 3, 5, (4, 6, 7), id="1"),
+    pytest.param(3, 3, 5, (4, 6, 7), id="3"),
+    # a narrower output: forward takes the spatial-major taps and the input gradient,
+    # a conv with 2 input channels, im2col; N*H*W = 512 is two whole 256-row blocks of
+    # the float32 grad_b sum, and 315 leaves 59 rows over
+    pytest.param(3, 5, 2, (4, 6, 7), id="3-5to2"),
+    pytest.param(3, 16, 2, (8, 8, 8), id="3-16to2-whole-blocks"),
+    pytest.param(1, 16, 2, (5, 9, 7), id="1-16to2-partial-block"),
+    # each layout of the conv kernel: im2col for a shallow input, spatial-major taps
+    # for a deep one (dx shifts of +-2 at k=5, on an odd grid), a batch of one, and
+    # a 1x1 conv, which is one GEMM whatever its depth
+    pytest.param(3, 2, 64, (4, 6, 7), id="3-2to64-im2col"),
+    pytest.param(3, 16, 16, (4, 6, 7), id="3-16to16-spatial"),
+    pytest.param(3, 64, 64, (4, 8, 8), id="3-64to64-spatial"),
+    pytest.param(5, 3, 4, (3, 7, 9), id="5-3to4-odd-grid"),
+    pytest.param(3, 16, 16, (1, 6, 7), id="3-16to16-n1"),
+    pytest.param(1, 16, 16, (4, 6, 7), id="1-16to16"),
+    # taps wholly off the grid: a 5x5 kernel on a 2x2 grid, where the dy, dx = +-2 taps
+    # read no row, and a grid of one row, where every dy != p tap reads none (at k=5
+    # some reach further than the grid is tall)
+    pytest.param(5, 16, 16, (3, 2, 2), id="5-16to16-2x2"),
+    pytest.param(3, 16, 16, (4, 1, 7), id="3-16to16-one-row"),
+    pytest.param(5, 16, 16, (4, 1, 7), id="5-16to16-one-row"),
+]
+
+
+@pytest.fixture
+def fused_taps(monkeypatch):
+    """The fused-taps rule of _conv forced on for every shape; returns the list of the
+    operands of each _GemmAdd that _conv makes."""
+    if layers._BLAS is None:
+        pytest.skip("numpy's OpenBLAS library was not found")
+    monkeypatch.setattr(layers, "BLAS_FUSED_MNK", 0)
+    monkeypatch.setattr(layers, "BLAS_FUSED_ROWS", 0)
+    made = []
+
+    class Recorded(layers._GemmAdd):
+        def __init__(self, *operands):
+            super().__init__(*operands)
+            made.append(operands)
+
+    monkeypatch.setattr(layers, "_GemmAdd", Recorded)
+    return made
+
+
 class TestAgainstReference:
     """Forward and backward of Conv2D, BatchNorm2D and ReLU against the formulas above.
 
     float32 results are held against the float64 reference of the same input."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("k, c_in, c_out, shape", [
-        pytest.param(1, 3, 5, (4, 6, 7), id="1"),
-        pytest.param(3, 3, 5, (4, 6, 7), id="3"),
-        # a narrower output: forward takes the spatial-major taps and the input gradient,
-        # a conv with 2 input channels, im2col; N*H*W = 512 is two whole 256-row blocks of
-        # the float32 grad_b sum, and 315 leaves 59 rows over
-        pytest.param(3, 5, 2, (4, 6, 7), id="3-5to2"),
-        pytest.param(3, 16, 2, (8, 8, 8), id="3-16to2-whole-blocks"),
-        pytest.param(1, 16, 2, (5, 9, 7), id="1-16to2-partial-block"),
-        # each layout of the conv kernel: im2col for a shallow input, spatial-major taps
-        # for a deep one (dx shifts of +-2 at k=5, on an odd grid), a batch of one, and
-        # a 1x1 conv, which is one GEMM whatever its depth
-        pytest.param(3, 2, 64, (4, 6, 7), id="3-2to64-im2col"),
-        pytest.param(3, 16, 16, (4, 6, 7), id="3-16to16-spatial"),
-        pytest.param(3, 64, 64, (4, 8, 8), id="3-64to64-spatial"),
-        pytest.param(5, 3, 4, (3, 7, 9), id="5-3to4-odd-grid"),
-        pytest.param(3, 16, 16, (1, 6, 7), id="3-16to16-n1"),
-        pytest.param(1, 16, 16, (4, 6, 7), id="1-16to16"),
-        # taps wholly off the grid: a 5x5 kernel on a 2x2 grid, where the dy, dx = +-2 taps
-        # read no row, and a grid of one row, where every dy != p tap reads none (at k=5
-        # some reach further than the grid is tall)
-        pytest.param(5, 16, 16, (3, 2, 2), id="5-16to16-2x2"),
-        pytest.param(3, 16, 16, (4, 1, 7), id="3-16to16-one-row"),
-        pytest.param(5, 16, 16, (4, 1, 7), id="5-16to16-one-row"),
-    ])
+    @pytest.mark.parametrize("k, c_in, c_out, shape", CONV_CASES)
     def test_conv(self, k, c_in, c_out, shape, dtype, rng):
         conv = Conv2D(c_in, c_out, kernel_size=k).reset(rng)
         conv.b[...] = rng.standard_normal(c_out)
@@ -473,6 +502,20 @@ class TestAgainstReference:
         row_bytes = shape[0] * shape[2] * k_out * np.dtype(dtype).itemsize
         monkeypatch.setattr(layers, "_BLOCK_BYTES", block_rows * row_bytes)
         self.test_conv(5, 16, k_out, shape, dtype, rng)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k, c_in, c_out, shape", CONV_CASES)
+    def test_conv_with_fused_taps(self, k, c_in, c_out, shape, dtype, rng, fused_taps):
+        # the same cases with the fused-taps rule forced on, so each spatial-major conv,
+        # the forward's or the input gradient's, adds its shifted taps inside BLAS
+        self.test_conv(k, c_in, c_out, shape, dtype, rng)
+        assert bool(fused_taps) == (k > 1 and k * k * max(c_in, c_out) > layers._IM2COL_DEPTH)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    def test_conv_over_blocks_with_fused_taps(self, block_rows, dtype, rng, monkeypatch, fused_taps):
+        self.test_conv_over_blocks_of_output_rows(block_rows, dtype, rng, monkeypatch)
+        assert fused_taps
 
     def test_conv_reads_another_convs_output_in_place(self, rng):
         # a conv output is spatial-major, so the next conv caches its rows without a copy
@@ -570,3 +613,86 @@ def test_no_layer_writes_to_the_arrays_it_is_passed(kind, shape, dtype, seed):
     assert np.array_equal(x, x_before)
     assert np.array_equal(g, g_before)
     assert np.array_equal(out, out_before)
+
+
+# every conv of the default net (B=3, L=8, F=64, P=2 on the 8x8 grid) as (k, C_in, K)
+DEFAULT_NET_CONVS = [(3, 2, 64), (3, 64, 64), (3, 64, 2), (1, 2, 1)]
+# (k, C_in, K, N) just outside each limit of the fused-taps rule: below BLAS_FUSED_MNK
+# (64 -> 2, and 16 -> 16 at N = 128), above BLAS_K_PANEL (at the smallest batch whose
+# per-row calls reach BLAS_FUSED_ROWS) and one image short of BLAS_FUSED_ROWS
+OUTSIDE_THE_RULE = [(3, 64, 2, 256), (3, 16, 16, 128), (3, 512, 512, 64), (3, 64, 64, 63)]
+# in a fresh process, so the BLAS thread count can be set: each case's Conv2D forward,
+# input gradient, grad_w and grad_b with numpy's OpenBLAS handle and without it
+SAME_BITS_SCRIPT = """
+import json, sys
+import numpy as np
+from ambcest import Conv2D, layers
+handle, rng, results = layers._BLAS, np.random.default_rng(0), []
+for k, c_in, c_out, n in json.loads(sys.argv[1]):
+    for dtype in (np.float32, np.float64):
+        conv = Conv2D(c_in, c_out, kernel_size=k).reset(rng)
+        x = rng.standard_normal((n, 8, 8, c_in)).astype(dtype)
+        g = rng.standard_normal((n, 8, 8, c_out)).astype(dtype)
+        runs = []
+        for layers._BLAS in (handle, None):
+            runs.append([a.tobytes() for a in (conv.forward(x), conv.backward(g), conv.grad_w, conv.grad_b)])
+        layers._BLAS = handle
+        fused = [k > 1 and k * k * c > layers._IM2COL_DEPTH and layers._fused_taps(n, 8, c, c_o, k)
+                 for c, c_o in ((c_in, c_out), (c_out, c_in))]
+        results.append({"case": [k, c_in, c_out, n], "dtype": np.dtype(dtype).name, "fused": fused,
+                        "same": runs[0] == runs[1]})
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.skipif(layers._BLAS is None, reason="numpy's OpenBLAS library was not found")
+class TestFusedTaps:
+    """_conv's shifted taps added inside BLAS against the numpy path: the same bits."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_bits_as_the_numpy_path(self, threads):
+        cases = [[k, c_in, c_out, n] for k, c_in, c_out in DEFAULT_NET_CONVS for n in (256, 128, 88)]
+        cases += [list(case) for case in OUTSIDE_THE_RULE]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+               "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        proc = subprocess.run([sys.executable, "-c", SAME_BITS_SCRIPT, json.dumps(cases)], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        results = json.loads(proc.stdout)
+        assert len(results) == 2 * len(cases)
+        assert [(r["case"], r["dtype"]) for r in results if not r["same"]] == []
+        # 88 is a predict remainder chunk; the F -> F convs fuse forward and backward
+        fused = [(tuple(r["case"]), r["fused"]) for r in results if any(r["fused"])]
+        assert fused == [((3, 64, 64, n), [True, True]) for n in (256, 128, 88) for _ in DTYPES]
+
+    def test_without_the_handle_conv_takes_the_numpy_path(self, rng, monkeypatch):
+        x = rng.standard_normal((128, 8, 8, 64)).astype(np.float32)
+        w = rng.standard_normal((64, 3, 3, 64)).astype(np.float32)
+        b = rng.standard_normal(64).astype(np.float32)
+        assert layers._fused_taps(128, 8, 64, 64, 3)
+        fused = _conv(x, w, b)[0].tobytes()
+        monkeypatch.setattr(layers, "_BLAS", None)
+        monkeypatch.setattr(layers, "_GemmAdd", None)  # a call would raise
+        assert not layers._fused_taps(128, 8, 64, 64, 3)
+        assert _conv(x, w, b)[0].tobytes() == fused
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gemm_add_adds_a_product_into_a_run_of_rows(self, dtype, rng):
+        a = rng.standard_normal((10, 6)).astype(dtype)
+        taps = rng.standard_normal((4, 3, 3, 6)).astype(dtype).transpose(1, 2, 3, 0)
+        for b in (taps[0, 1], np.ascontiguousarray(taps[0, 1])):  # passed transposed, then not
+            out = rng.standard_normal((12, 4)).astype(dtype)
+            want = out.copy()
+            want[5:9] += a[2:6] @ b
+            layers._GemmAdd(a, b, out)(2, 5, 4)
+            assert_matches_reference(out, want, dtype)
+
+    def test_gemm_add_refuses_what_blas_cannot_read(self, rng):
+        a, b, out = rng.standard_normal((10, 6)), rng.standard_normal((6, 4)), np.zeros((12, 4))
+        for bad in [(a.astype(np.float32), b, out), (a[:, ::2], b[:3], out), (a, b[:, ::-1], out),
+                    (a, b, out[:, :3]), (a, b.astype(np.float32), out), (a, b, out[:, ::2])]:
+            with pytest.raises(ShapeError):
+                layers._GemmAdd(*bad)
+        gemm = layers._GemmAdd(a, b, out)
+        for rows in [(7, 0, 4), (0, 9, 4), (-1, 0, 2), (0, 0, 0)]:
+            with pytest.raises(ShapeError):
+                gemm(*rows)
