@@ -51,7 +51,7 @@ from .estimators import (
     nmse,
 )
 from .gradcheck import GradCheckReport, grad_check, grad_check_input
-from .layers import BatchNorm2D, Conv2D, Dense, ReLU, mse_loss
+from .layers import BatchNorm2D, Conv2D, ReLU, mse_loss
 from .model import DenoiserHyper, DenoisingBlock, ResidualDenoiser, build_model
 from .optim import Adam, SGDMomentum, make_optimizer
 from .sweep import (

@@ -52,14 +52,15 @@ def build_correlation_matrix(spec: CorrelationSpec, m: int) -> np.ndarray:
     return spec.rho ** lags
 
 
-def _cholesky(R: np.ndarray) -> np.ndarray:
+def _cholesky(R: np.ndarray, what: str = "covariance") -> np.ndarray:
+    """The Cholesky factor of R, a square positive-definite matrix that errors call `what`."""
     R = np.asarray(R, dtype=np.float64)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ShapeError(f"R must be square, got shape {R.shape}")
+        raise ShapeError(f"{what} must be square, got shape {R.shape}")
     try:
         return np.linalg.cholesky(R)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"covariance is not positive-definite: {exc}") from exc
+        raise NumericError(f"{what} is not positive-definite: {exc}") from exc
 
 
 # bytes of per-trial data in one block of the Monte-Carlo loops (the simulator's draws,
@@ -71,7 +72,7 @@ TRIAL_BLOCK_BYTES = 1 << 19
 # thread pool, whose threads then spin on a core for a while after the product ends
 BLAS_CALLER_MNK = 1 << 18
 # fewest rows in one of sliced_matmul's slices: a product over fewer can take BLAS's
-# small-matrix kernels, which sum in another order (up to 12 rows at M = 100, 4 at 256)
+# small-matrix kernels, which sum in another order (sliced_matmul lists where)
 MIN_SLICE_ROWS = 32
 
 
@@ -83,12 +84,8 @@ def trial_blocks(n: int, trial_bytes: int, min_rows: int = 1) -> list[slice]:
     blocks is either the whole batch, one plain product over all n rows, or at least one
     slice high, which sliced_matmul runs as slices of exactly that height.  Either way a
     block's product equals those rows of one (n, M) product wherever sliced_matmul equals
-    a @ m.  A shorter block would be a plain product over a few rows, which BLAS runs
-    through its small-matrix kernels, summing in another order: on OpenBLAS 0.3.31 an
-    (r, M) @ (M, M) product differs from those rows of a tall one for r up to 33, 18, 12
-    and 4 rows at M = 36, 64, 100 and 256 (and up to r = M at M = 81 to 121 with two or
-    more BLAS threads).  A quarter of a 512 KiB block, the margin this rule replaces, is
-    only 18 trials at P = 14, M = 64.
+    a @ m.  A shorter block would be a plain product over a few rows, inside one of the
+    kernel windows that sliced_matmul lists.
     """
     step = max(min_rows, TRIAL_BLOCK_BYTES // max(1, trial_bytes))
     stops = list(range(step, n, step))
@@ -113,12 +110,13 @@ def sliced_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     through the small-matrix kernels, which a tall product skips.  At most r rows are one
     plain a @ m.
 
-    The result equals a @ m bit for bit on OpenBLAS 0.3.31 at K = N in {16, 36, 64, 100,
-    256}, except where a @ m itself takes other kernels: with two or more BLAS threads,
-    a @ m over r < n <= K rows at K = 81 to 121 splits its columns across threads; and
-    with a C-ordered m at K = 36, 81, 100 and 121, a @ m over up to 10**6 / K**2 rows
-    takes the small-matrix kernels.  There the two differ in their last bits.  At
-    K = 196 and 324, slices of almost any height differ from a tall product.
+    OpenBLAS 0.3.31's kernel windows, listed here only: an (r, K) @ (K, K) product takes
+    the small-matrix kernels for r up to 33, 18, 12 and 4 rows at K = 36, 64, 100 and 256,
+    as does a C-ordered m at K = 36, 81, 100 and 121 over up to 10**6 / K**2 rows; with two
+    or more BLAS threads, r < n <= K rows at K = 81 to 121 split their columns across
+    threads; and at K = 196 and 324 slices of almost any height differ from a tall product.
+    In a window a few rows sum in another order than those rows of a tall product; outside
+    them the result equals a @ m bit for bit at K = N in {16, 36, 64, 100, 256}.
     """
     k, cols = m.shape
     r = slice_rows(k, cols)

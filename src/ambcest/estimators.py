@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemConfig, observation_blocks, sliced_matmul, trial_blocks
+from .channel import SystemConfig, _cholesky, observation_blocks, sliced_matmul, trial_blocks
 from .errors import MetricError, NumericError, ParameterError, ShapeError
 
 
@@ -49,20 +49,10 @@ def ls_estimate(y: np.ndarray) -> np.ndarray:
     return total.reshape(*y.shape[:-3], -1)
 
 
-def _require_pd(R: np.ndarray, what: str) -> np.ndarray:
-    R = np.asarray(R, dtype=np.float64)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ShapeError(f"{what} must be square, got shape {R.shape}")
-    try:
-        np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"{what} is not positive-definite") from exc
-    return R
-
-
 def mmse_gain(R_x: np.ndarray, sigma_u_sq: float, pilots: int) -> np.ndarray:
     """Wiener gain G = R (R + (sigma_u^2 / P) I)^-1 applied to the P-sample mean."""
-    R_x = _require_pd(R_x, "R_x")
+    R_x = np.asarray(R_x, dtype=np.float64)
+    _cholesky(R_x, "R_x")
     if pilots < 1:
         raise ParameterError("pilots must be >= 1")
     s = sigma_u_sq / pilots
@@ -104,7 +94,8 @@ class MmseContext:
     pilots: int
 
     def __post_init__(self):
-        r = _require_pd(self.r_x, "r_x")
+        r = np.asarray(self.r_x, dtype=np.float64)
+        _cholesky(r, "r_x")
         object.__setattr__(self, "r_x", r)
         if r.shape[0] != self.mb:
             raise ShapeError(f"r_x must be Mb x Mb = {self.mb}x{self.mb}, got {r.shape}")

@@ -312,16 +312,11 @@ class Conv2D(_Stateful):
 
     out[y, x, k] = b[k] + sum_{dy,dx,c} w[k, dy, dx, c] * padded_in[y+dy, x+dx, c]
 
-    The kernel _conv picks its layout from the shape: one im2col GEMM for a shallow input
-    (k*k*C_in <= 32, such as each block's P -> F first conv, or any 1x1 conv), otherwise
-    one GEMM per tap over the input's spatial-major rows, with no window or padded copy.
-    Where _fused_taps holds (numpy's own OpenBLAS was found, C_in <= BLAS_K_PANEL, and
-    the per-row products are large enough, as for the default net's F -> F convs at a
-    batch of 64 or more), each shifted tap adds into the output inside BLAS; elsewhere
-    a numpy add follows each tap's GEMM.  Both give the same bits on the host _conv names.
-    The output is a view of spatial-major memory, which the next conv, after BN and ReLU,
-    reads in place.  Forward caches only the rows its layout reads, which may share memory
-    with its input.
+    Forward runs the kernel _conv, which picks its layout from the shape (one im2col GEMM
+    for a shallow input or any 1x1 conv, else one GEMM per tap; see there).  The output is
+    a view of spatial-major memory, which the next conv, after BN and ReLU, reads in place.
+    Forward caches only the rows its layout reads, which may share memory with its input.
+    A 1x1 conv on a 1x1 grid is the full affine map x @ w.T + b on flattened inputs.
 
     Backward gets the input gradient from the same kernel: for a same-padded stride-1
     conv it is the conv of grad_out with the flipped, transposed filters
@@ -392,33 +387,6 @@ class Conv2D(_Stateful):
         return grad_in
 
 
-class Dense(_Stateful):
-    """Full affine map on flattened inputs; used only by the dense reconstruction variant."""
-
-    params = ("w", "b")
-
-    def __init__(self, in_features: int, out_features: int, *, shared=False):
-        self._init_state({"w": (out_features, in_features), "b": (out_features,)}, shared)
-        self._x = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_compute(x)
-        if x.ndim != 2 or x.shape[1] != self.w.shape[1]:
-            raise ShapeError(f"expected (N, {self.w.shape[1]}), got {x.shape}")
-        self._x = x
-        return x @ self.w.astype(x.dtype, copy=False).T + self.b.astype(x.dtype, copy=False)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise ShapeError("backward called before forward")
-        grad_out = np.asarray(grad_out, dtype=self._x.dtype)
-        if grad_out.shape != (self._x.shape[0], self.w.shape[0]):
-            raise ShapeError("grad_out shape does not match forward output")
-        self._grad("w")[...] = grad_out.T @ self._x
-        self._grad("b")[...] = grad_out.sum(axis=0, dtype=np.float64)
-        return grad_out @ self.w.astype(grad_out.dtype, copy=False)
-
-
 class BatchNorm2D(_Stateful):
     """Per-channel batch normalization over (N, H, W) with running statistics.
 
@@ -429,10 +397,9 @@ class BatchNorm2D(_Stateful):
     own, normalizes that array in place and caches it as xhat; backward builds the input
     gradient from one scaled copy of grad_out, with per-channel sums in float64.
 
-    For float32 input every per-channel sum (the batch mean and variance, grad_gamma and
-    grad_beta) runs as BLAS products over blocks of 256 rows, with the block sums added in
-    float64; the results stay within 1e-5 of the largest entry of the float64 path.
-    float64 input keeps numpy's sums, bit for bit.
+    Every per-channel sum (the batch mean and variance, grad_gamma and grad_beta) is a
+    _channel_sum: blocked BLAS products for float32 input, within 1e-5 of the largest entry
+    of the float64 path, and numpy's sums, bit for bit, for float64 input.
     """
 
     TRAIN = "train"

@@ -4,8 +4,8 @@ Each block is an L-layer subnetwork (Conv+BN+ReLU for layers 1..L-1, plain Conv 
 that predicts the residual noise S_i of its input; the block output is Y_i = Y_{i-1} - S_i.
 A block keeps its layers as one list of (conv, bn, relu) stages, which its forward and
 backward, predict's fold, the mode switches and the state naming all read.
-After the last block a reconstruction layer combines the P denoised channel slices into a
-single Ma x Mb channel-matrix estimate.
+After the last block a reconstruction layer, one 1x1 Conv2D on the grid DenoiserHyper.head
+picks, combines the P denoised channel slices into a single Ma x Mb channel-matrix estimate.
 """
 
 import copy
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, StateError
-from .layers import BatchNorm2D, Conv2D, Dense, ReLU, _as_compute, bind
+from .layers import BatchNorm2D, Conv2D, ReLU, _as_compute, bind
 
 RECON_CONV1X1 = "conv1x1"
 RECON_DENSE = "dense"
@@ -33,7 +33,7 @@ class DenoiserHyper:
     with 64 intermediate filters.  kernel_size is 3 for the standard network; 1 gives the
     purely channel-mixing configuration used by the linear analysis.  recon selects the
     reconstruction layer: a per-pixel 1x1 convolution over the P slices (default) or the
-    literal full-volume affine map (ablation).
+    literal full-volume affine map (ablation), which `head` casts as a 1x1 convolution too.
     """
 
     blocks: int = 3
@@ -66,9 +66,19 @@ class DenoiserHyper:
         p, f, k2, n = self.pilots, self.filters, self.kernel_size**2, self.layers_per_block
         convs = (k2 * p + 1) * f + (n - 2) * (k2 * f + 1) * f + (k2 * f + 1) * p
         bns = (n - 1) * 4 * f  # gamma, beta, running mean and variance of layers 1..L-1
+        (_, _, c_in), c_out = self.head
+        return self.blocks * (convs + bns) + (c_in + 1) * c_out
+
+    @property
+    def head(self) -> tuple[tuple[int, int, int], int]:
+        """The reconstruction conv's input grid (H, W, C_in) and output channels C_out:
+        conv1x1 mixes each pixel's P slices, (Ma, Mb, P) -> 1; dense, the full-volume affine
+        map, is a 1x1 conv on a 1x1 grid, (1, 1, Ma*Mb*P) -> Ma*Mb, whose weight holds the
+        C-order bytes of the (Ma*Mb, Ma*Mb*P) matrix."""
+        if self.recon == RECON_CONV1X1:
+            return (self.ma, self.mb, self.pilots), 1
         pixels = self.ma * self.mb
-        recon = p + 1 if self.recon == RECON_CONV1X1 else (pixels * p + 1) * pixels
-        return self.blocks * (convs + bns) + recon
+        return (1, 1, pixels * self.pilots), pixels
 
 
 class DenoisingBlock:
@@ -132,10 +142,8 @@ class ResidualDenoiser:
         self.hyper = hyper
         self.state, self.grad = state, None
         self.blocks = [DenoisingBlock(hyper) for _ in range(hyper.blocks)]
-        if hyper.recon == RECON_CONV1X1:
-            self.recon = Conv2D(hyper.pilots, 1, kernel_size=1, shared=True)
-        else:
-            self.recon = Dense(hyper.ma * hyper.mb * hyper.pilots, hyper.ma * hyper.mb, shared=True)
+        (_, _, c_in), c_out = hyper.head
+        self.recon = Conv2D(c_in, c_out, kernel_size=1, shared=True)
         self.mode: str | None = None
         self._bind()
 
@@ -237,12 +245,10 @@ class ResidualDenoiser:
             out[lo : lo + PREDICT_CHUNK] = self._recon_forward(chunk, recon)
         return out
 
-    def _recon_forward(self, y: np.ndarray, recon) -> np.ndarray:
-        hp = self.hyper
-        if hp.recon == RECON_CONV1X1:
-            return recon.forward(y)[..., 0]
-        flat = recon.forward(y.reshape(y.shape[0], -1))
-        return flat.reshape(y.shape[0], hp.ma, hp.mb)
+    def _recon_forward(self, y: np.ndarray, recon: Conv2D) -> np.ndarray:
+        """The reconstruction layer on the head's grid: (n, Ma, Mb, P) -> (n, Ma, Mb)."""
+        grid, _ = self.hyper.head
+        return recon.forward(y.reshape(y.shape[0], *grid)).reshape(y.shape[:3])
 
     def backward(self, grad_xhat: np.ndarray) -> np.ndarray:
         """Reverse-mode pass; takes d loss / d X_hat (n, Ma, Mb), returns d loss / d input in
@@ -252,11 +258,11 @@ class ResidualDenoiser:
             self._bind()
         grad_xhat = _as_compute(grad_xhat)
         hp = self.hyper
-        if hp.recon == RECON_CONV1X1:
-            g = self.recon.backward(grad_xhat[..., None])
-        else:
-            g = self.recon.backward(grad_xhat.reshape(grad_xhat.shape[0], -1))
-            g = g.reshape(grad_xhat.shape[0], hp.ma, hp.mb, hp.pilots)
+        if grad_xhat.ndim != 3 or grad_xhat.shape[1:] != (hp.ma, hp.mb):
+            raise ShapeError(f"expected a gradient (n, {hp.ma}, {hp.mb}), got shape {grad_xhat.shape}")
+        n = grad_xhat.shape[0]
+        (h, w, _), c_out = hp.head
+        g = self.recon.backward(grad_xhat.reshape(n, h, w, c_out)).reshape(n, hp.ma, hp.mb, hp.pilots)
         for block in reversed(self.blocks):
             g = block.backward(g)
         return g
@@ -291,19 +297,6 @@ class ResidualDenoiser:
         live = {**self.named_parameters(), **self.named_running_stats()}
         parts = np.split(self.state.copy(), np.cumsum([arr.size for arr in live.values()])[:-1])
         return {name: part.reshape(arr.shape) for (name, arr), part in zip(live.items(), parts)}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        live = dict(self.named_parameters())
-        live.update(self.named_running_stats())
-        if set(state) != set(live):
-            missing = set(live) - set(state)
-            extra = set(state) - set(live)
-            raise ParameterError(f"state dict mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, arr in live.items():
-            src = np.asarray(state[name])
-            if src.shape != arr.shape:
-                raise ShapeError(f"state entry {name!r} has shape {src.shape}, expected {arr.shape}")
-            np.copyto(arr, src)
 
     def clone(self) -> "ResidualDenoiser":
         return copy.deepcopy(self)

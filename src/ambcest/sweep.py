@@ -223,10 +223,21 @@ def run_sweep(
     points' truths are held.  With more workers, each draws and scores its own points.
     Either way, each point's draws come from its own generator in the same order, so
     the rows do not depend on `workers`.  An error is raised in plan order.
+
+    A plan that scores crld with two points of one checkpoint name (a repeated value, or
+    two SNRs equal under checkpoint_name's %+g) is refused before any draw: the points
+    would share one net, trained by whichever point came first.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     points = [(link, v) for link in plan.links for v in plan.values]
+    named = {}
+    for link, value in points if "crld" in plan.methods else ():
+        name = checkpoint_name(point_config(cfg, plan.axis, value), link)
+        if name in named:
+            raise ParameterError(f"{plan.axis} values {named[name]!r} and {value!r} of the {link} link "
+                                 f"share the checkpoint name {name}")
+        named[name] = value
     tasks = list(zip(points, np.random.SeedSequence(seed).spawn(len(points))))
 
     def draw(task):

@@ -16,7 +16,6 @@ from ambcest import (
     BatchNorm2D,
     Conv2D,
     CorrelationSpec,
-    Dense,
     DenoiserHyper,
     ExperimentPlan,
     MmseContext,
@@ -143,8 +142,9 @@ def _layer_reports(seed):
     reports.append(grad_check(_sum_squares_after(conv, x), conv.named_parameters("c"), conv.named_gradients("c")))
     reports.append(grad_check_input(_sum_squares_after(conv, x), x, grad_in))
 
-    dense = Dense(6, 4).reset(rng)
-    x = rng.standard_normal((3, 6))
+    # the dense reconstruction head's operation: a 1x1 conv on a 1x1 grid
+    dense = Conv2D(6, 4, kernel_size=1).reset(rng)
+    x = rng.standard_normal((3, 1, 1, 6))
     out = dense.forward(x)
     grad_in = dense.backward(2.0 * out)
     reports.append(grad_check(_sum_squares_after(dense, x), dense.named_parameters("d"), dense.named_gradients("d")))

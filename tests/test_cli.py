@@ -356,6 +356,18 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1 and "workers" in err
         assert not out.exists()
 
+    def test_crld_points_sharing_a_checkpoint_are_2_and_write_nothing(self, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(SMALL_SYSTEM + FAST_TRAIN + "values=1,1.0000001\nmethods=ls,crld\ntrials=200\n")
+        out, ck = tmp_path / "report.csv", tmp_path / "ck"
+        code = main(["sweep", "--config", str(conf), "--out", str(out), "--checkpoint-dir", str(ck),
+                     "--train", "--train-k", "256"] + TINY_NET)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1.0 and 1.0000001" in err and "crld_direct_snr+1dB_p2.ckpt" in err
+        assert not out.exists() and not ck.exists()
+
     def test_geometry_mismatch_is_2(self, tmp_path, config, capsys):
         data = gen_small_dataset(tmp_path, config)
         ckpt = str(tmp_path / "model.ckpt")

@@ -123,8 +123,10 @@ class TestMmseGain:
         assert np.allclose(mmse_gain(R, 0.0, 3), np.eye(5), atol=1e-10)
 
     def test_non_pd_prior_rejected(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="R_x is not positive-definite"):
             mmse_gain(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0, 2)
+        with pytest.raises(ShapeError, match="R_x must be square"):
+            mmse_gain(np.ones((2, 3)), 1.0, 2)
 
     def test_zero_pilots_rejected(self):
         with pytest.raises(ParameterError):
@@ -201,6 +203,12 @@ class TestMatrixMmse:
     def test_zero_noise_rejected(self):
         with pytest.raises(ParameterError):
             MmseContext(r_x=np.eye(2), sigma_u_sq=0.0, ma=2, mb=2, pilots=2)
+
+    def test_non_pd_or_non_square_prior_rejected(self):
+        with pytest.raises(NumericError, match="r_x is not positive-definite"):
+            MmseContext(r_x=-np.eye(2), sigma_u_sq=1.0, ma=2, mb=2, pilots=2)
+        with pytest.raises(ShapeError, match="r_x must be square"):
+            MmseContext(r_x=np.ones(2), sigma_u_sq=1.0, ma=2, mb=2, pilots=2)
 
     def test_map_shape(self):
         ctx = MmseContext(r_x=np.eye(3), sigma_u_sq=0.5, ma=2, mb=3, pilots=4)

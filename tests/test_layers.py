@@ -17,7 +17,6 @@ from scipy import signal
 from ambcest import (
     BatchNorm2D,
     Conv2D,
-    Dense,
     ParameterError,
     ReLU,
     ShapeError,
@@ -50,9 +49,13 @@ class TestConv2D:
         x = rng.standard_normal((4, 6, 7, 3))
         assert np.allclose(conv.forward(x), conv_reference(x, conv.w, conv.b), atol=1e-12)
 
-    def test_matches_scipy_one_by_one(self, rng):
-        conv = Conv2D(2, 3, kernel_size=1).reset(rng)
-        x = rng.standard_normal((2, 4, 4, 2))
+    # a 1x1 conv on a 1x1 grid is the full affine map x @ w.T + b on flattened inputs
+    @pytest.mark.parametrize("c_in, c_out, shape", [(2, 3, (2, 4, 4)), (3, 2, (5, 1, 1))],
+                             ids=["4x4-grid", "1x1-grid"])
+    def test_matches_scipy_one_by_one(self, c_in, c_out, shape, rng):
+        conv = Conv2D(c_in, c_out, kernel_size=1).reset(rng)
+        conv.b[...] = rng.standard_normal(c_out)
+        x = rng.standard_normal((*shape, c_in))
         assert np.allclose(conv.forward(x), conv_reference(x, conv.w, conv.b), atol=1e-12)
 
     def test_identity_kernel_is_passthrough(self, rng):
@@ -72,14 +75,18 @@ class TestConv2D:
     def test_wrong_channel_count_rejected(self, rng):
         with pytest.raises(ShapeError):
             Conv2D(3, 1).forward(rng.standard_normal((1, 4, 4, 2)))
+        with pytest.raises(ShapeError):
+            Conv2D(3, 2, kernel_size=1).forward(rng.standard_normal((5, 1, 1, 4)))
 
     def test_backward_before_forward_rejected(self):
         with pytest.raises(ShapeError):
             Conv2D(1, 1).backward(np.zeros((1, 4, 4, 1)))
 
-    def test_parameter_gradients(self, rng):
-        conv = Conv2D(2, 3).reset(rng)
-        x = rng.standard_normal((2, 4, 4, 2)) + 0.3  # keep away from relu-style kinks
+    @pytest.mark.parametrize("k, c_in, c_out, shape", [(3, 2, 3, (2, 4, 4)), (1, 4, 3, (6, 1, 1))],
+                             ids=["3x3", "1x1-on-1x1-grid"])
+    def test_parameter_gradients(self, k, c_in, c_out, shape, rng):
+        conv = Conv2D(c_in, c_out, kernel_size=k).reset(rng)
+        x = rng.standard_normal((*shape, c_in)) + 0.3  # keep away from relu-style kinks
 
         def loss_fn():
             out = conv.forward(x)
@@ -101,30 +108,6 @@ class TestConv2D:
 
         report = grad_check_input(loss_fn, x, grad_in)
         assert report.passed, str(report)
-
-
-class TestDense:
-    def test_forward_is_affine(self, rng):
-        layer = Dense(3, 2).reset(rng)
-        layer.b = rng.standard_normal(2)
-        x = rng.standard_normal((5, 3))
-        assert np.allclose(layer.forward(x), x @ layer.w.T + layer.b, atol=1e-15)
-
-    def test_gradients(self, rng):
-        layer = Dense(4, 3).reset(rng)
-        x = rng.standard_normal((6, 4))
-
-        def loss_fn():
-            out = layer.forward(x)
-            return float(np.sum(out * out))
-
-        layer.backward(2.0 * layer.forward(x))
-        report = grad_check(loss_fn, layer.named_parameters("d"), layer.named_gradients("d"))
-        assert report.passed, str(report)
-
-    def test_shape_validation(self, rng):
-        with pytest.raises(ShapeError):
-            Dense(3, 2).forward(rng.standard_normal((5, 4)))
 
 
 class TestBatchNorm2D:
@@ -244,9 +227,9 @@ class TestMseLoss:
 
 stateful_layers = pytest.mark.parametrize("make, x, params, stats", [
     (lambda rng: Conv2D(2, 3).reset(rng), (2, 4, 4, 2), ["w", "b"], []),
-    (lambda rng: Dense(4, 3).reset(rng), (2, 4), ["w", "b"], []),
+    (lambda rng: Conv2D(4, 3, kernel_size=1).reset(rng), (2, 1, 1, 4), ["w", "b"], []),
     (lambda rng: BatchNorm2D(3), (2, 4, 4, 3), ["gamma", "beta"], ["running_mean", "running_var"]),
-], ids=["Conv2D", "Dense", "BatchNorm2D"])
+], ids=["Conv2D", "Conv2D-1x1-grid", "BatchNorm2D"])
 
 
 @stateful_layers
@@ -290,9 +273,11 @@ class TestComputeDtype:
     """
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_conv(self, dtype, rng):
-        conv = Conv2D(2, 3).reset(rng)
-        out = conv.forward(rng.standard_normal((2, 4, 4, 2)).astype(dtype))
+    @pytest.mark.parametrize("k, c_in, shape", [(3, 2, (2, 4, 4)), (1, 4, (5, 1, 1))],
+                             ids=["3x3", "1x1-on-1x1-grid"])
+    def test_conv(self, k, c_in, shape, dtype, rng):
+        conv = Conv2D(c_in, 3, kernel_size=k).reset(rng)
+        out = conv.forward(rng.standard_normal((*shape, c_in)).astype(dtype))
         assert out.dtype == dtype
         assert conv.backward(np.ones_like(out)).dtype == dtype
         assert conv.w.dtype == conv.b.dtype == np.float64
@@ -315,14 +300,6 @@ class TestComputeDtype:
         out = relu.forward(rng.standard_normal((2, 3)).astype(dtype))
         assert out.dtype == dtype
         assert relu.backward(np.ones_like(out)).dtype == dtype
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_dense(self, dtype, rng):
-        layer = Dense(4, 3).reset(rng)
-        out = layer.forward(rng.standard_normal((5, 4)).astype(dtype))
-        assert out.dtype == dtype
-        assert layer.backward(np.ones_like(out)).dtype == dtype
-        assert_float64_gradients(layer)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_mse_loss(self, dtype, rng):
@@ -450,6 +427,9 @@ CONV_CASES = [
     pytest.param(5, 16, 16, (3, 2, 2), id="5-16to16-2x2"),
     pytest.param(3, 16, 16, (4, 1, 7), id="3-16to16-one-row"),
     pytest.param(5, 16, 16, (4, 1, 7), id="5-16to16-one-row"),
+    # a 1x1 conv on a 1x1 grid, the dense reconstruction head: the full affine map, at
+    # a batch with a float32 grad_b block and rows left over
+    pytest.param(1, 32, 16, (300, 1, 1), id="1-32to16-1x1-grid"),
 ]
 
 

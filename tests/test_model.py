@@ -1,6 +1,7 @@
 """Network tests: parameter counts, residual identity, gradients, checkpoint I/O."""
 
 import copy
+import hashlib
 import itertools
 import os
 import pickle
@@ -22,6 +23,7 @@ from ambcest import (
     DenoiserHyper,
     FormatError,
     ParameterError,
+    ResidualDenoiser,
     ShapeError,
     StateError,
     SystemConfig,
@@ -268,6 +270,30 @@ class TestForward:
         y = rng.standard_normal((6, 4, 4, 2))
         assert np.allclose(model.forward(y), y.mean(axis=-1), atol=1e-12)
 
+    def test_conv1x1_head_reshapes_are_views(self, rng):
+        # the reshapes into and out of the head's grid copy nothing for the conv1x1 head
+        model = build_model(TINY, rng=0).train_mode()
+        head, seen = model.recon, []
+        run_forward, run_backward = head.forward, head.backward
+
+        def forward(x):
+            seen.extend([x, run_forward(x)])
+            return seen[-1]
+
+        def backward(g):
+            seen.extend([g, run_backward(g)])
+            return seen[-1]
+
+        head.forward, head.backward = forward, backward
+        y, g = rng.standard_normal((3, 4, 4, 2)), rng.standard_normal((3, 4, 4))
+        model.forward(y)  # the blocks' caches, for backward
+        seen.clear()
+        out = model._recon_forward(y, head)
+        model.backward(g)
+        head_in, head_out, grad_out, _ = seen
+        assert np.shares_memory(head_in, y) and np.shares_memory(out, head_out)
+        assert np.shares_memory(grad_out, g)
+
     def test_dense_recon_forward_shape(self, rng):
         hp = DenoiserHyper(blocks=1, layers_per_block=2, filters=2, ma=3, mb=2, pilots=2, recon="dense")
         model = build_model(hp, rng=0).eval_mode()
@@ -330,10 +356,8 @@ class TestAnalysisMode:
                 s = conv.forward(s)
             h = h - s
         want = ref._recon_forward(h, ref.recon)
-        if recon == "conv1x1":
-            gh = ref.recon.backward(g[..., None])
-        else:
-            gh = ref.recon.backward(g.reshape(5, -1)).reshape(5, 4, 4, 2)
+        (hh, ww, _), c_out = hp.head
+        gh = ref.recon.backward(g.reshape(5, hh, ww, c_out)).reshape(5, 4, 4, 2)
         for block in reversed(ref.blocks):
             gs = -gh
             for conv, _, _ in reversed(block.layers):
@@ -457,8 +481,7 @@ class TestStateDict:
         model = build_model(TINY, rng=5).train_mode()
         model.forward(rng.standard_normal((8, 4, 4, 2)))  # move running stats off init
         state = model.state_dict()
-        other = build_model(TINY, rng=9)
-        other.load_state_dict(state)
+        other = ResidualDenoiser(TINY, np.concatenate([arr.ravel() for arr in state.values()]))
         for name, arr in model.named_parameters().items():
             assert np.array_equal(dict(other.named_parameters())[name], arr), name
         for name, arr in model.named_running_stats().items():
@@ -469,13 +492,6 @@ class TestStateDict:
         state = model.state_dict()
         state["recon.b"][...] = 123.0
         assert model.named_parameters()["recon.b"][0] == 0.0
-
-    def test_mismatched_keys_rejected(self):
-        model = build_model(TINY, rng=0)
-        state = model.state_dict()
-        state.pop("recon.b")
-        with pytest.raises(ParameterError):
-            model.load_state_dict(state)
 
     def test_clone_is_independent(self, rng):
         model = build_model(TINY, rng=2).eval_mode()
@@ -502,6 +518,13 @@ C7_RUNNING_STAT_NAMES = [
 # save_checkpoint at commit b6dac2d
 LAYOUT = DenoiserHyper(blocks=2, layers_per_block=3, filters=3, ma=4, mb=4, pilots=2)
 LAYOUT_CKPT = Path(__file__).parent / "data" / "layout_b6dac2d.ckpt"
+# tests/data/layout_dense_ea677d8.ckpt: a LAYOUT_DENSE net holding layout_state(), written
+# by save_checkpoint at commit ea677d8, when the dense head was a layer of its own; the
+# sha256 of its eval-mode float64 forward of default_rng(2025).standard_normal((4, 3, 2, 2))
+# at that commit
+LAYOUT_DENSE = DenoiserHyper(blocks=1, layers_per_block=2, filters=3, ma=3, mb=2, pilots=2, recon="dense")
+LAYOUT_DENSE_CKPT = Path(__file__).parent / "data" / "layout_dense_ea677d8.ckpt"
+LAYOUT_DENSE_FORWARD_SHA256 = "9e8f7a834a8b7f64ca755e7de6fd8671af21ec51107f0e96feac73176cc60201"
 
 
 def layout_state(model) -> dict:
@@ -545,6 +568,21 @@ class TestStateLayout:
             assert np.array_equal(state[name], arr), name
         save_checkpoint(loaded, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == LAYOUT_CKPT.read_bytes()
+
+    def test_dense_head_file_loads_and_resaves_to_the_same_bytes(self, tmp_path):
+        # the dense head's weight is read as a 1x1 conv's on a 1x1 grid: the same bytes,
+        # and the same float64 forward as the full affine map that wrote them
+        loaded = load_checkpoint(LAYOUT_DENSE_CKPT)
+        assert loaded.hyper == LAYOUT_DENSE
+        want, state = layout_state(build_model(LAYOUT_DENSE, rng=0)), loaded.state_dict()
+        assert list(state) == list(want)
+        assert all(np.array_equal(state[name], arr) for name, arr in want.items())
+        assert loaded.recon.w.shape == (6, 1, 1, 12)
+        save_checkpoint(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == LAYOUT_DENSE_CKPT.read_bytes()
+        out = loaded.eval_mode().forward(np.random.default_rng(2025).standard_normal((4, 3, 2, 2)))
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert hashlib.sha256(out.tobytes()).hexdigest() == LAYOUT_DENSE_FORWARD_SHA256
 
 
 def traced_after(make):

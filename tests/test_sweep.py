@@ -276,6 +276,31 @@ class TestRunSweep:
         serial = run_sweep(plan, iid_config(), seed=5, workers=1, **kwargs)
         assert run_sweep(plan, iid_config(), seed=5, workers=2, **kwargs).rows == serial.rows
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("axis, values, shared", [
+        ("snr", (0.0, 3.0, 0.0), "0.0 and 0.0"),
+        ("snr", (1.0, 1.0000001), "1.0 and 1.0000001"),  # equal under checkpoint_name's %+g
+        ("pilots", (2, 3, 2), "2 and 2"),
+    ], ids=["snr-repeated", "snr-equal-as-named", "pilots-repeated"])
+    def test_crld_points_sharing_a_checkpoint_are_refused_before_any_draw(
+        self, axis, values, shared, workers, tmp_path, monkeypatch
+    ):
+        # they would share one net: the first point's at one worker, a race at more
+        import ambcest.sweep as sweep_module
+
+        monkeypatch.setattr(sweep_module, "draw_truths", lambda *args: pytest.fail("a point was drawn"))
+        plan = ExperimentPlan(axis=axis, values=values, methods=("ls", "crld"), trials=300)
+        with pytest.raises(ParameterError, match=f"{axis} values {shared} of the direct link share"):
+            run_sweep(plan, iid_config(), seed=5, checkpoint_dir=str(tmp_path), train_missing=True,
+                      hyper=TINY_HYPER, train_opts=FAST_TRAIN, train_k=256, workers=workers)
+        assert not any(tmp_path.iterdir())
+
+    def test_repeated_values_without_crld_stay_legal(self):
+        plan = ExperimentPlan(values=(0.0, 0.0), methods=("ls", "mmse"), trials=300)
+        serial = run_sweep(plan, iid_config(), seed=5, workers=1)
+        assert len(serial.rows) == 4
+        assert run_sweep(plan, iid_config(), seed=5, workers=4).rows == serial.rows
+
     def test_the_drawer_thread_ends_with_the_sweep(self):
         plan = ExperimentPlan(values=(-3.0, 0.0, 3.0), methods=("ls",), trials=300)
         before = threading.active_count()
