@@ -10,10 +10,12 @@ inputs in a conv output's spatial-major memory.  It does so once on the path _co
 picks and once with numpy's OpenBLAS handle removed, where every deep conv adds its
 shifted taps with numpy.  Each line gives:
 
-- the layout of the picked path: im2col, taps (numpy adds) or fused (BLAS adds);
-  backward names the layout of its input-gradient conv;
+- the layout of the picked path: im2col (one GEMM over a window matrix), planes (one
+  GEMM into per-tap planes, summed), taps (one GEMM per tap, numpy adds) or fused (BLAS
+  adds); backward names the layout of its input-gradient conv;
 - min and median ms and the GFLOP/s of the median for each path, counting
   2 * N*H*W * k*k*C_in * K flops forward and twice that backward;
+- backward only, the median ms of its grad_w products on the picked path ("-" forward);
 - whether both paths gave the same bytes: the output forward, and the input gradient,
   grad_w and grad_b backward.
 
@@ -44,11 +46,9 @@ def conv_shapes(hyper: DenoiserHyper) -> list[tuple[int, int, int]]:
     return [(k, p, f), (k, f, f), (k, f, p), (1, p, 1)]
 
 
-def layout(n: int, wd: int, c: int, k_out: int, k: int) -> str:
-    """The layout _conv picks for a batch of n on a grid W = wd wide."""
-    if k == 1 or k * k * c <= layers._IM2COL_DEPTH:
-        return "im2col"
-    return "fused" if layers._fused_taps(n, wd, c, k_out, k) else "taps"
+def layout(n: int, wd: int, c: int, k_out: int, k: int, h: int | None = None) -> str:
+    """The layout _conv picks for a batch of n on a grid h (default wd) high and wd wide."""
+    return layers._conv_layout(n, wd if h is None else h, wd, c, k_out, k)
 
 
 def timed(fn, reps: int) -> tuple[float, float]:
@@ -68,12 +68,15 @@ def spatial_major(a: np.ndarray) -> np.ndarray:
 
 
 def run_path(conv: Conv2D, x: np.ndarray, g: np.ndarray, reps: int):
-    """Forward and backward (min, median) seconds, and the bytes each pass returns."""
+    """Forward and backward (min, median) seconds, the bytes each pass returns, and the
+    median seconds of backward's grad_w products alone."""
     fwd = timed(lambda: conv.forward(x), reps)
     out = conv.forward(x).tobytes()
     bwd = timed(lambda: conv.backward(g), reps)
     grads = (conv.backward(g).tobytes(), conv.grad_w.tobytes(), conv.grad_b.tobytes())
-    return {"forward": (fwd, out), "backward": (bwd, grads)}
+    cols = conv._cache[1]
+    _, grad_w = timed(lambda: layers._conv_grad_w(cols, g, conv.kernel_size, conv.grad_w), reps)
+    return {"forward": (fwd, out), "backward": (bwd, grads), "grad_w": grad_w}
 
 
 def rows(batches: list[int], reps: int, dtype) -> list[str]:
@@ -93,14 +96,15 @@ def rows(batches: list[int], reps: int, dtype) -> list[str]:
                 finally:
                     layers._BLAS = handle
                 gflop = 2e-9 * n * h * wd * k * k * c_in * c_out
-                for name, flops, path in (("forward", gflop, layout(n, wd, c_in, c_out, k)),
-                                          ("backward", 2 * gflop, layout(n, wd, c_out, c_in, k))):
+                for name, flops, path in (("forward", gflop, layout(n, wd, c_in, c_out, k, h)),
+                                          ("backward", 2 * gflop, layout(n, wd, c_out, c_in, k, h))):
                     (p_min, p_med), p_bytes = picked[name]
                     (n_min, n_med), n_bytes = numpy_path[name]
+                    grad_w = f"{picked['grad_w'] * 1e3:9.3f}" if name == "backward" else f"{'-':>9}"
                     lines.append(
                         f"{net:<8} {k}x{k} {c_in:>3}->{c_out:<3} {n:>5} {name:<8} {path:<7}"
                         f"{p_min * 1e3:9.3f}{p_med * 1e3:9.3f}{flops / p_med:9.1f}"
-                        f"{n_min * 1e3:9.3f}{n_med * 1e3:9.3f}{flops / n_med:9.1f}"
+                        f"{n_min * 1e3:9.3f}{n_med * 1e3:9.3f}{flops / n_med:9.1f}{grad_w}"
                         f"  {'yes' if p_bytes == n_bytes else 'NO'}"
                     )
     return lines
@@ -116,7 +120,8 @@ def main(argv=None) -> int:
         parser.error("--reps and every batch must be >= 1")
     print(f"dtype={args.dtype} reps={args.reps} blas={'numpy OpenBLAS' if layers._BLAS else 'not found'}")
     print(f"{'net':<8} {'conv':<11} {'N':>5} {'pass':<8} {'path':<7}"
-          f"{'min ms':>9}{'med ms':>9}{'GFLOP/s':>9}{'np min':>9}{'np med':>9}{'np GF/s':>9}  same bits")
+          f"{'min ms':>9}{'med ms':>9}{'GFLOP/s':>9}{'np min':>9}{'np med':>9}{'np GF/s':>9}{'grad_w':>9}"
+          "  same bits")
     for line in rows(args.batches, args.reps, np.dtype(args.dtype)):
         print(line)
     return 0

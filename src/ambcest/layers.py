@@ -5,7 +5,9 @@ All tensors are channels-last numpy arrays, and Conv2D and BatchNorm2D take only
 backward pass needs on forward; backward consumes the cache of the most recent forward.
 A Conv2D output (forward's and backward's) is an (N, H, W, C) view of spatial-major
 (H, W, N, C) memory.  BN and ReLU keep their input's memory order, so the next conv
-reads it in place.  No layer relies on C-contiguity.
+reads it in place.  No layer relies on C-contiguity.  Inside the conv kernel, a conv
+with few input or output channels works on channel-major planes (C, H, W, N) instead,
+so that BLAS gets one well-shaped product (see _conv).
 
 The compute dtype follows the input: a float32 input is computed in float32, anything else
 in float64.  Backward runs in the dtype of the forward it follows.  Parameters and batch
@@ -88,6 +90,12 @@ BLAS_FUSED_MNK = 1 << 20
 # BLAS threads (64 -> 64 at 259-280 rows: 3-19% slower; 128 -> 128 at 112 rows: 20-40%);
 # every shape from 448 rows and 2**20 multiply-adds up was faster at 1 and 2 threads
 BLAS_FUSED_ROWS = 448
+# the planes' one GEMM over all rows and a per-tap GEMM of 2 or 3 columns over 30-600
+# rows summed in another order (C_in >= 32 on 8x8, 4x4, 7x5 and 2x9 grids, N = 1-193),
+# so a shallow output takes the planes only where the smallest per-tap product has at
+# least this many rows.  In float64 on the odd grids (7x5, 2x9) they also differed above
+# it, up to 5,790 rows at one BLAS thread; float32 and the even grids agreed above it
+BLAS_PLANE_ROWS = 640
 
 
 class _Blas(NamedTuple):
@@ -173,50 +181,90 @@ def _fused_taps(n: int, wd: int, c: int, k_out: int, k: int) -> bool:
             and rows * c * k_out >= BLAS_FUSED_MNK)
 
 
+def _conv_layout(n: int, h: int, wd: int, c: int, k_out: int, k: int) -> str:
+    """The layout _conv takes for a batch of n on an h x wd grid, C_in = c, K = k_out: "im2col"
+    for a 1x1 conv or a shallow input, "planes" for a shallow output whose per-tap
+    products would each have at least BLAS_PLANE_ROWS rows, else "fused" where
+    _fused_taps holds and "taps" where it does not."""
+    if k == 1 or k * k * c <= _IM2COL_DEPTH:
+        return "im2col"
+    if 2 <= k_out and k * k * k_out <= _IM2COL_DEPTH and max(1, h - k // 2) * wd * n >= BLAS_PLANE_ROWS:
+        return "planes"
+    return "fused" if _fused_taps(n, wd, c, k_out, k) else "taps"
+
+
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padded stride-1 convolution of a batch x (N, H, W, C) with filters w (K, k, k, C)
     and bias b (K,), both of x's dtype.  Returns (out, cols): out is an (N, H, W, K)
-    view of spatial-major (H, W, N, K) memory, and cols the rows Conv2D.backward reads.
+    view of spatial-major (H, W, N, K) memory, and cols what _conv_grad_w reads.
 
-    Rows run in spatial-major (y, x, n) order; x is read in place when its memory is in
-    that order, as a conv output is, and copied once otherwise.  A shallow input
-    (k*k*C <= _IM2COL_DEPTH, or k = 1) takes one im2col GEMM: cols is the window matrix
-    of the padded input, or its rows when k = 1.  Any other input takes one GEMM per tap
-    over cols, the spatial-major x (H, W, N, C): tap (dy, dx) reads the contiguous rows
-    whose source row y + dy - p lies on the grid, and its product is added into the
-    output shifted by dx - p columns.  The taps run over blocks of output rows, so the
-    rows a tap adds into are still in cache.
+    Rows run in spatial-major (y, x, n) order.  The layout follows the shape:
 
-    The centre tap's GEMM writes the output.  numpy's matmul cannot add into its output,
-    so on the numpy path each shifted tap's product lands in a buffer and a numpy add
-    follows.  Where _fused_taps holds, each shifted tap instead adds into the output
-    inside BLAS, one cblas_?gemm call with beta = 1 per output image row, because a
-    column shift leaves the rows of one tap non-contiguous.  Both paths add the taps in
-    the same order, and on OpenBLAS 0.3.31 (SkylakeX core, 1 and 2 threads) their
-    outputs are equal bit for bit wherever the rule holds.
+    - a 1x1 conv takes one GEMM over the rows; cols is the rows (R, C).
+    - a shallow input (k*k*C <= _IM2COL_DEPTH) takes one im2col GEMM.  The padded input
+      is laid out channel-major (C, H+2p, W+2p, N), and its k*k shifted planes are
+      copied into (C, k, k, H, W, N), so each copy moves runs of N values.  cols, the
+      window matrix (R, C*k*k) in (c, dy, dx) order, is that array's transposed view,
+      which BLAS reads without a copy.
+    - a shallow output (k*k*K <= _IM2COL_DEPTH, K >= 2) takes one GEMM of every tap's
+      filters, stacked (k*k*K, C), with the rows: the per-tap planes (K, H, W*N).  The
+      centre tap's plane starts the sum, and each shifted tap's plane is added over the
+      outputs whose source lies on the grid, in runs of (W - |dx - p|)*N values; one
+      transpose then writes the spatial-major output.
+    - any other input takes one GEMM per tap over the spatial-major x (H, W, N, C): tap
+      (dy, dx) reads the contiguous rows whose source row y + dy - p lies on the grid,
+      and its product is added into the output shifted by dx - p columns.  The taps run
+      over blocks of output rows, so the rows a tap adds into are still in cache.
+
+    In the last two layouts cols is the spatial-major x, read in place when x's memory
+    is in that order, as a conv output is, and copied once otherwise; both add the taps
+    in the same order, centre first, then the bias.  numpy's matmul cannot add into its
+    output, so in the per-tap layout each shifted tap's product lands in a buffer and a
+    numpy add follows.  Where _fused_taps holds, each shifted tap instead adds into the
+    output inside BLAS, one cblas_?gemm call with beta = 1 per output image row, because
+    a column shift leaves the rows of one tap non-contiguous.  On OpenBLAS 0.3.31
+    (SkylakeX core, 1 and 2 threads) the fused taps and the planes give the bytes of the
+    per-tap numpy layout, and the channel-major im2col those of the spatial-major window
+    matrix it replaced, wherever _conv_layout picks them (see BLAS_PLANE_ROWS for where
+    it does not).
     """
     n, h, wd, c = x.shape
     k_out, k = w.shape[0], w.shape[1]
     p = k // 2
-    x_sm = _spatial_major(x)
-    if k == 1 or k * k * c <= _IM2COL_DEPTH:
-        x_pad = x_sm
-        if p:
-            x_pad = np.zeros((h + 2 * p, wd + 2 * p, n, c), dtype=x.dtype)
-            x_pad[p : p + h, p : p + wd] = x_sm
-        windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(0, 1))
-        cols = windows.reshape(h * wd * n, c * k * k)
+    # the centre tap covers every output and starts the sum; a tap shifted by the grid's
+    # height or width or more adds nothing
+    shifted = [(dy - p, dx - p) for dy in range(k) for dx in range(k)
+               if (dy, dx) != (p, p) and abs(dy - p) < h and abs(dx - p) < wd]
+    layout = _conv_layout(n, h, wd, c, k_out, k)
+    if k == 1:
+        cols = _spatial_major(x).reshape(-1, c)
+        acc = cols @ w.reshape(k_out, c).T
+    elif layout == "im2col":
+        x_pad = np.zeros((c, h + 2 * p, wd + 2 * p, n), dtype=x.dtype)
+        x_pad[:, p : p + h, p : p + wd] = x.transpose(3, 1, 2, 0)
+        windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(1, 2))  # (C, H, W, N, k, k)
+        cols = np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3)).reshape(c * k * k, -1).T
+        if k_out == 1:  # numpy takes gemv, which sums a transposed matrix in another order
+            cols = np.ascontiguousarray(cols)
         acc = cols @ w.transpose(0, 3, 1, 2).reshape(k_out, c * k * k).T
+    elif layout == "planes":
+        cols = _spatial_major(x)
+        stack = w.transpose(1, 2, 0, 3).reshape(k * k * k_out, c)
+        planes = (stack @ cols.reshape(-1, c).T).reshape(k, k, k_out, h, wd * n)
+        acc = planes[p, p].copy()
+        for t, s in shifted:  # output rows y read input rows y + t, columns x + s
+            ya, yb, xa, xb = max(0, -t), h - max(0, t), max(0, -s) * n, (wd - max(0, s)) * n
+            acc[:, ya:yb, xa:xb] += planes[p + t, p + s, :, ya + t : yb + t, xa + s * n : xb + s * n]
+        acc += b[:, None, None]
+        return np.ascontiguousarray(acc.reshape(k_out, -1).T).reshape(h, wd, n, k_out).transpose(2, 0, 1, 3), cols
     else:
-        cols = x_sm
+        cols = _spatial_major(x)
         rows, taps = cols.reshape(-1, c), w.transpose(1, 2, 3, 0)
         step = wd * n
         acc = np.empty((h * step, k_out), dtype=x.dtype)
         block = max(1, _BLOCK_BYTES // (step * k_out * x.itemsize))  # output rows y per block
-        # the centre tap covers every output and starts the sum; a shift of W or more adds nothing
-        shifted = [(dy, dx) for dy in range(k) for dx in range(k) if (dy, dx) != (p, p) and abs(dx - p) < wd]
-        if _fused_taps(n, wd, c, k_out, k):
-            gemm_add = {tap: _GemmAdd(rows, taps[tap], acc) for tap in shifted}
+        if layout == "fused":
+            gemm_add = {tap: _GemmAdd(rows, taps[p + tap[0], p + tap[1]], acc) for tap in shifted}
         else:
             gemm_add, tmp = None, np.empty((min(h, block) * step, k_out), dtype=x.dtype)
         for y0 in range(0, h, block):
@@ -224,8 +272,7 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
             acc_rows = acc[y0 * step : y1 * step]
             np.matmul(rows[y0 * step : y1 * step], taps[p, p], out=acc_rows)
             acc_cols = acc_rows.reshape(y1 - y0, wd, n * k_out)
-            for dy, dx in shifted:
-                t, s = dy - p, dx - p  # output rows [ya, yb) read input rows y + t on the grid
+            for t, s in shifted:  # output rows [ya, yb) read input rows y + t on the grid
                 ya, yb = max(y0, -t), max(y0, -t, min(y1, h - t))
                 if gemm_add:
                     # output columns [x0, W - max(0, s)) of row y: one run of rows, and its
@@ -233,14 +280,45 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
                     x0, run = max(0, -s), (wd - abs(s)) * n
                     for y in range(ya, yb):
                         out_row = (y * wd + x0) * n
-                        gemm_add[dy, dx](out_row + (t * wd + s) * n, out_row, run)
+                        gemm_add[t, s](out_row + (t * wd + s) * n, out_row, run)
                     continue
                 prod = tmp[: (yb - ya) * step]
-                np.matmul(rows[(ya + t) * step : (yb + t) * step], taps[dy, dx], out=prod)
+                np.matmul(rows[(ya + t) * step : (yb + t) * step], taps[p + t, p + s], out=prod)
                 prod_cols = prod.reshape(yb - ya, wd, n * k_out)
                 acc_cols[ya - y0 : yb - y0, max(0, -s) : wd - max(0, s)] += prod_cols[:, max(0, s) : wd + min(0, s)]
     acc += b
     return acc.reshape(h, wd, n, k_out).transpose(2, 0, 1, 3), cols
+
+
+def _conv_grad_w(cols: np.ndarray, grad_out: np.ndarray, k: int, grad_w: np.ndarray) -> None:
+    """Write into grad_w (K, k, k, C) the filter gradient of the conv whose forward returned
+    cols, for grad_out (N, H, W, K) of the forward's dtype.
+
+    An im2col cols (2-D) takes one GEMM against grad_out's rows.  A spatial-major cols
+    (H, W, N, C) takes, for each tap (t, s) = (dy - p, dx - p), one stacked product per
+    image row: the output columns x of row y whose source x + s lies on the grid are one
+    run of rows of grad_out, [max(0, -s)*N, (W - max(0, s))*N), and their source is the
+    run s*N rows further on in input row y + t.  The products of the rows y whose
+    source row lies on the grid are summed in float64.
+    """
+    k_out = grad_out.shape[3]
+    g_sm = _spatial_major(grad_out)  # no copy for a gradient from the layers above
+    if cols.ndim == 2:
+        c_in = cols.shape[1] // (k * k)
+        grad_w[...] = (g_sm.reshape(-1, k_out).T @ cols).reshape(k_out, c_in, k, k).transpose(0, 2, 3, 1)
+        return
+    h, wd, n, c_in = cols.shape
+    p = k // 2
+    g3, x3 = g_sm.reshape(h, wd * n, k_out), cols.reshape(h, wd * n, c_in)
+    for t in range(-p, p + 1):  # tap row dy = p + t reads input row y + t
+        ya, yb = max(0, -t), h - max(0, t)
+        for s in range(-p, p + 1):  # tap column dx = p + s reads input column x + s
+            if abs(t) >= h or abs(s) >= wd:
+                grad_w[:, p + t, p + s] = 0.0
+                continue
+            xa, xb = max(0, -s) * n, (wd - max(0, s)) * n
+            prods = g3[ya:yb, xa:xb].transpose(0, 2, 1) @ x3[ya + t : yb + t, xa + s * n : xb + s * n]
+            prods.sum(axis=0, dtype=np.float64, out=grad_w[:, p + t, p + s])
 
 
 def bind(layers, kind: str, vector: np.ndarray, at: int = 0, prefix: str = "") -> int:
@@ -312,19 +390,21 @@ class Conv2D(_Stateful):
 
     out[y, x, k] = b[k] + sum_{dy,dx,c} w[k, dy, dx, c] * padded_in[y+dy, x+dx, c]
 
-    Forward runs the kernel _conv, which picks its layout from the shape (one im2col GEMM
-    for a shallow input or any 1x1 conv, else one GEMM per tap; see there).  The output is
-    a view of spatial-major memory, which the next conv, after BN and ReLU, reads in place.
-    Forward caches only the rows its layout reads, which may share memory with its input.
-    A 1x1 conv on a 1x1 grid is the full affine map x @ w.T + b on flattened inputs.
+    Forward runs the kernel _conv, which picks its layout from the shape (_conv_layout:
+    one im2col GEMM for a shallow input or any 1x1 conv, one GEMM into per-tap planes for
+    a shallow output, else one GEMM per tap; see _conv).  The output is a view of
+    spatial-major memory, which the next conv, after BN and ReLU, reads in place.  Forward
+    caches only what _conv_grad_w reads: the im2col matrix, or the spatial-major input,
+    which may share memory with the input.  A 1x1 conv on a 1x1 grid is the full affine
+    map x @ w.T + b on flattened inputs.
 
     Backward gets the input gradient from the same kernel: for a same-padded stride-1
     conv it is the conv of grad_out with the flipped, transposed filters
-    w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0), whose layout follows K.  grad_w is one
-    GEMM against the cached im2col matrix, or one product per tap between the cached rows
-    and grad_out's over the output rows whose source lies on the grid.  Each layout adds
-    in its own order, so float64 results agree with the tap-loop formula to rounding
-    (rtol 1e-12).  grad_b is a per-channel sum as in BatchNorm2D.
+    w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0), copied contiguous, whose layout follows K.
+    grad_w (_conv_grad_w) is one GEMM against the cached im2col matrix, or one stacked
+    product per tap over image rows between grad_out and the cached rows, read in place.
+    Each layout adds in its own order, so float64 results agree with the tap-loop formula
+    to rounding (rtol 1e-12).  grad_b is a per-channel sum as in BatchNorm2D.
     """
 
     params = ("w", "b")
@@ -353,37 +433,17 @@ class Conv2D(_Stateful):
             raise ShapeError("backward called before forward")
         (n, h, wd), cols = self._cache
         k, k_out, c_in = self.kernel_size, self.out_channels, self.in_channels
-        p = k // 2
         grad_out = np.asarray(grad_out, dtype=cols.dtype)
         if grad_out.shape != (n, h, wd, k_out):
             raise ShapeError(
                 f"grad_out shape {grad_out.shape} does not match forward output {(n, h, wd, k_out)}"
             )
         w = self.w.astype(cols.dtype, copy=False)
-        flipped = w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0)
+        # a contiguous copy, so every layout passes its taps to BLAS as the forward does
+        flipped = np.ascontiguousarray(w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0))
         grad_in, _ = _conv(grad_out, flipped, np.zeros(c_in, dtype=cols.dtype))
         self._grad("b")[...] = _channel_sum(grad_out)
-        grad_w = self._grad("w")
-        g_sm = _spatial_major(grad_out)  # no copy for a gradient from the layers above
-        g_rows = g_sm.reshape(-1, k_out)
-        if cols.ndim == 2:
-            grad_w[...] = (g_rows.T @ cols).reshape(k_out, c_in, k, k).transpose(0, 2, 3, 1)
-            return grad_in
-        rows, step = cols.reshape(-1, c_in), wd * n
-        for s in range(-p, p + 1):  # tap column dx = p + s reads input column x + s
-            g = g_rows
-            if s:
-                # zero grad_out where x + s leaves [0, W): only there does the flat row
-                # offset s*N cross an image-row edge
-                g = g_sm.copy()
-                g[:, slice(max(0, wd - s), None) if s > 0 else slice(0, -s)] = 0
-                g = g.reshape(-1, k_out)
-            for t in range(-p, p + 1):  # tap row dy = p + t reads input row y + t
-                # output rows y whose source row y + t lies on the grid
-                lo = max(0, -t) * step + max(0, -s) * n
-                hi = max(lo, (h - max(0, t)) * step - max(0, s) * n)
-                off = t * step + s * n
-                grad_w[:, p + t, p + s, :] = g[lo:hi].T @ rows[lo + off : hi + off]
+        _conv_grad_w(cols, grad_out, k, self._grad("w"))
         return grad_in
 
 

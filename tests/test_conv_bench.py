@@ -28,10 +28,17 @@ def test_prints_both_passes_of_every_conv_with_the_same_bits(capsys):
              [("3x3", f"2->{f}"), ("3x3", f"{f}->{f}"), ("3x3", f"{f}->2"), ("1x1", "2->1")]]
     assert [tuple(row[:3]) for row in rows] == [conv for conv in convs for _ in range(2)]
     assert [row[4] for row in rows] == ["forward", "backward"] * len(convs)
-    assert all(row[-1] == "yes" and len(row) == 13 for row in rows)
+    assert all(row[-1] == "yes" and len(row) == 14 for row in rows)
+    # grad_w's own median ms in the backward rows only
+    assert [row[12] == "-" for row in rows] == [True, False] * len(convs)
+    assert all(float(row[12]) > 0 for row in rows[1::2])
     fused = "fused" if layers._BLAS is not None else "taps"
     assert [row[5] for row in rows if row[2] == "64->64"] == [fused, fused]
     assert all(row[5] != "fused" for row in rows if row[2] != "64->64")
+    # each F -> P conv sums its taps' planes, forward and as the input gradient of P -> F
+    planes = [(row[2], row[4]) for row in rows if row[5] == "planes"]
+    assert planes == [(shape, name) for f in (16, 64)
+                      for shape, name in ((f"2->{f}", "backward"), (f"{f}->2", "forward"))]
     assert all(float(value) > 0 for row in rows for value in row[6:12])
 
 

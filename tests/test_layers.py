@@ -1,6 +1,6 @@
 """Layer tests: conv against a scipy oracle, batch norm moments, activations, loss, the
-layers against the reference formulas they replaced, and the conv's fused taps against
-its numpy path."""
+layers against the reference formulas they replaced, the conv's fused taps against its
+numpy path, and its plane layouts against the per-tap algorithm they replaced."""
 
 import json
 import os
@@ -427,6 +427,10 @@ CONV_CASES = [
     pytest.param(5, 16, 16, (3, 2, 2), id="5-16to16-2x2"),
     pytest.param(3, 16, 16, (4, 1, 7), id="3-16to16-one-row"),
     pytest.param(5, 16, 16, (4, 1, 7), id="5-16to16-one-row"),
+    # the same for a shallow output, whose planes skip those taps: a grid of one row,
+    # then one of one column
+    pytest.param(3, 16, 2, (4, 1, 7), id="3-16to2-one-row"),
+    pytest.param(3, 16, 2, (3, 7, 1), id="3-16to2-one-column"),
     # a 1x1 conv on a 1x1 grid, the dense reconstruction head: the full affine map, at
     # a batch with a float32 grad_b block and rows left over
     pytest.param(1, 32, 16, (300, 1, 1), id="1-32to16-1x1-grid"),
@@ -434,9 +438,24 @@ CONV_CASES = [
 
 
 @pytest.fixture
-def fused_taps(monkeypatch):
-    """The fused-taps rule of _conv forced on for every shape; returns the list of the
-    operands of each _GemmAdd that _conv makes."""
+def planes(monkeypatch):
+    """The row floor of _conv's shallow-output planes removed, so every conv with
+    k*k*K <= _IM2COL_DEPTH and K >= 2 takes them; returns the layouts _conv picks."""
+    monkeypatch.setattr(layers, "BLAS_PLANE_ROWS", 0)
+    picked, conv_layout = [], layers._conv_layout
+
+    def recorded(*shape):
+        picked.append(conv_layout(*shape))
+        return picked[-1]
+
+    monkeypatch.setattr(layers, "_conv_layout", recorded)
+    return picked
+
+
+@pytest.fixture
+def fused_taps(monkeypatch, planes):
+    """The plane and fused-taps rules of _conv forced on for every shape; returns the
+    list of the operands of each _GemmAdd that _conv makes."""
     if layers._BLAS is None:
         pytest.skip("numpy's OpenBLAS library was not found")
     monkeypatch.setattr(layers, "BLAS_FUSED_MNK", 0)
@@ -485,11 +504,22 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("k, c_in, c_out, shape", CONV_CASES)
-    def test_conv_with_fused_taps(self, k, c_in, c_out, shape, dtype, rng, fused_taps):
-        # the same cases with the fused-taps rule forced on, so each spatial-major conv,
-        # the forward's or the input gradient's, adds its shifted taps inside BLAS
+    def test_conv_on_planes(self, k, c_in, c_out, shape, dtype, rng, planes):
+        # the same cases with the planes' row floor removed, so a conv with a shallow
+        # output, the forward's or the input gradient's, sums its taps' planes
         self.test_conv(k, c_in, c_out, shape, dtype, rng)
-        assert bool(fused_taps) == (k > 1 and k * k * max(c_in, c_out) > layers._IM2COL_DEPTH)
+        shallow_out = [k > 1 and k * k * c > layers._IM2COL_DEPTH and 2 <= c_o and k * k * c_o <= layers._IM2COL_DEPTH
+                       for c, c_o in ((c_in, c_out), (c_out, c_in))]
+        assert ("planes" in planes) == any(shallow_out)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k, c_in, c_out, shape", CONV_CASES)
+    def test_conv_with_fused_taps(self, k, c_in, c_out, shape, dtype, rng, fused_taps):
+        # the same cases with the plane and fused-taps rules forced on, so each conv whose
+        # input and output are both deep, the forward's or the input gradient's, adds its
+        # shifted taps inside BLAS, and a shallow output sums its taps' planes
+        self.test_conv(k, c_in, c_out, shape, dtype, rng)
+        assert bool(fused_taps) == (k > 1 and k * k * min(c_in, c_out) > layers._IM2COL_DEPTH)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("block_rows", [1, 2, 3])
@@ -514,14 +544,22 @@ class TestAgainstReference:
         assert_matches_reference(_channel_sum(view), _channel_sum(x), np.float32)
         assert_matches_reference(_channel_sum(view), ref, np.float32)
 
-    @pytest.mark.parametrize("k, c_in, layout", [
-        (3, 2, "im2col"), (3, 3, "im2col"), (1, 64, "im2col"), (3, 4, "spatial"), (5, 2, "spatial"),
+    @pytest.mark.parametrize("k, c_in, k_out, n, layout", [
+        (3, 2, 5, 2, "im2col"), (3, 3, 5, 2, "im2col"), (1, 64, 5, 2, "im2col"), (3, 3, 1, 2, "im2col"),
+        (3, 4, 5, 2, "taps"), (5, 2, 5, 2, "taps"),
+        # a shallow output (k*k*K <= 32) takes the planes once its smallest per-tap
+        # product would have BLAS_PLANE_ROWS = 640 rows, 7 image rows of 8 x N
+        (3, 16, 2, 12, "planes"), (3, 64, 3, 12, "planes"), (3, 16, 2, 11, "taps"),
+        # a one-channel output stays on the taps, as does a k=5 conv with two
+        (3, 16, 1, 12, "taps"), (5, 16, 2, 12, "taps"),
     ])
-    def test_conv_layout_follows_the_window_depth(self, k, c_in, layout, rng):
+    def test_conv_layout_follows_the_window_depth(self, k, c_in, k_out, n, layout, rng):
         # the test_conv ids name a layout; this keeps them true: im2col up to
-        # k*k*C_in = 32 and for every 1x1 conv, the spatial-major taps above that
-        _, cols = _conv(rng.standard_normal((2, 3, 4, c_in)), rng.standard_normal((5, k, k, c_in)), np.zeros(5))
-        assert cols.ndim == {"im2col": 2, "spatial": 4}[layout]
+        # k*k*C_in = 32 and for every 1x1 conv, the planes for a shallow output, the
+        # spatial-major taps otherwise; only im2col caches a window matrix
+        assert layers._conv_layout(n, 8, 8, c_in, k_out, k) == layout
+        _, cols = _conv(rng.standard_normal((n, 8, 8, c_in)), rng.standard_normal((k_out, k, k, c_in)), np.zeros(k_out))
+        assert cols.ndim == (2 if layout == "im2col" else 4)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("mode, shape", [
@@ -597,9 +635,10 @@ def test_no_layer_writes_to_the_arrays_it_is_passed(kind, shape, dtype, seed):
 
 # every conv of the default net (B=3, L=8, F=64, P=2 on the 8x8 grid) as (k, C_in, K)
 DEFAULT_NET_CONVS = [(3, 2, 64), (3, 64, 64), (3, 64, 2), (1, 2, 1)]
-# (k, C_in, K, N) just outside each limit of the fused-taps rule: below BLAS_FUSED_MNK
-# (64 -> 2, and 16 -> 16 at N = 128), above BLAS_K_PANEL (at the smallest batch whose
-# per-row calls reach BLAS_FUSED_ROWS) and one image short of BLAS_FUSED_ROWS
+# (k, C_in, K, N) just outside each limit of the fused-taps rule: a shallow output
+# (64 -> 2, which sums its taps' planes), below BLAS_FUSED_MNK (16 -> 16 at N = 128),
+# above BLAS_K_PANEL (at the smallest batch whose per-row calls reach BLAS_FUSED_ROWS)
+# and one image short of BLAS_FUSED_ROWS
 OUTSIDE_THE_RULE = [(3, 64, 2, 256), (3, 16, 16, 128), (3, 512, 512, 64), (3, 64, 64, 63)]
 # in a fresh process, so the BLAS thread count can be set: each case's Conv2D forward,
 # input gradient, grad_w and grad_b with numpy's OpenBLAS handle and without it
@@ -617,8 +656,7 @@ for k, c_in, c_out, n in json.loads(sys.argv[1]):
         for layers._BLAS in (handle, None):
             runs.append([a.tobytes() for a in (conv.forward(x), conv.backward(g), conv.grad_w, conv.grad_b)])
         layers._BLAS = handle
-        fused = [k > 1 and k * k * c > layers._IM2COL_DEPTH and layers._fused_taps(n, 8, c, c_o, k)
-                 for c, c_o in ((c_in, c_out), (c_out, c_in))]
+        fused = [layers._conv_layout(n, 8, 8, c, c_o, k) == "fused" for c, c_o in ((c_in, c_out), (c_out, c_in))]
         results.append({"case": [k, c_in, c_out, n], "dtype": np.dtype(dtype).name, "fused": fused,
                         "same": runs[0] == runs[1]})
 print(json.dumps(results))
@@ -676,3 +714,104 @@ class TestFusedTaps:
         for rows in [(7, 0, 4), (0, 9, 4), (-1, 0, 2), (0, 0, 0)]:
             with pytest.raises(ShapeError):
                 gemm(*rows)
+
+
+# in a fresh process, so the BLAS thread count can be set: each case's Conv2D forward and
+# input gradient against the per-tap algorithm that _conv ran for every deep input before
+# the plane layouts (im2col over a sliding-window matrix for a shallow input, else one
+# GEMM per tap over the spatial-major rows and a numpy add), and the layout _conv picked
+PLANES_SAME_BITS_SCRIPT = """
+import json, sys
+import numpy as np
+from ambcest import Conv2D, layers
+
+def per_tap_conv(x, w, b):
+    n, h, wd, c = x.shape
+    k_out, k = w.shape[:2]
+    p = k // 2
+    x_sm = np.ascontiguousarray(x.transpose(1, 2, 0, 3))
+    if k == 1 or k * k * c <= layers._IM2COL_DEPTH:
+        x_pad = np.zeros((h + 2 * p, wd + 2 * p, n, c), dtype=x.dtype)
+        x_pad[p : p + h, p : p + wd] = x_sm
+        cols = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(0, 1)).reshape(h * wd * n, c * k * k)
+        acc = cols @ w.transpose(0, 3, 1, 2).reshape(k_out, c * k * k).T
+    else:
+        rows, taps, step = x_sm.reshape(-1, c), w.transpose(1, 2, 3, 0), wd * n
+        acc = rows @ taps[p, p]
+        acc_cols = acc.reshape(h, wd, n * k_out)
+        for dy in range(k):
+            for dx in range(k):
+                t, s = dy - p, dx - p
+                ya, yb = max(0, -t), h - max(0, t)
+                if (t, s) == (0, 0) or ya >= yb or abs(s) >= wd:
+                    continue
+                prod = (rows[(ya + t) * step : (yb + t) * step] @ taps[dy, dx]).reshape(yb - ya, wd, n * k_out)
+                acc_cols[ya:yb, max(0, -s) : wd - max(0, s)] += prod[:, max(0, s) : wd + min(0, s)]
+    acc += b
+    return acc.reshape(h, wd, n, k_out).transpose(2, 0, 1, 3)
+
+rng, results = np.random.default_rng(0), []
+for k, c_in, c_out, n, h, wd in json.loads(sys.argv[1]):
+    for dtype in (np.float32, np.float64):
+        conv = Conv2D(c_in, c_out, kernel_size=k).reset(rng)
+        conv.b[...] = rng.standard_normal(c_out)
+        x = rng.standard_normal((n, h, wd, c_in)).astype(dtype)
+        g = rng.standard_normal((n, h, wd, c_out)).astype(dtype)
+        w, b = conv.w.astype(dtype), conv.b.astype(dtype)
+        flipped = np.ascontiguousarray(w[:, ::-1, ::-1, :].transpose(3, 1, 2, 0))
+        results.append({
+            "case": [k, c_in, c_out, n, h, wd], "dtype": np.dtype(dtype).name,
+            "layouts": [layers._conv_layout(n, h, wd, c, c_o, k) for c, c_o in ((c_in, c_out), (c_out, c_in))],
+            "forward": conv.forward(x).tobytes() == per_tap_conv(x, w, b).tobytes(),
+            "input_gradient": conv.backward(g).tobytes() == per_tap_conv(g, flipped, np.zeros(c_in, dtype)).tobytes(),
+        })
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.skipif(layers._BLAS is None, reason="numpy's BLAS is not the OpenBLAS these bits were measured on")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_planes_give_the_bits_of_the_per_tap_conv(threads):
+    # the P -> F and F -> P convs of the criterion-7 and default nets on the 8x8 grid,
+    # and a k=5 shallow input on an odd grid.  The input gradient is held against the
+    # per-tap conv of the contiguous flipped filters: before the planes, backward passed
+    # a strided view of them, which OpenBLAS summed in another order in float64 and
+    # for 2 -> 64 at N = 88 and 128 in float32
+    cases = [[3, c_in, c_out, n, 8, 8] for c_in, c_out in ((2, 16), (16, 2), (2, 64), (64, 2))
+             for n in (256, 128, 88, 1)]
+    cases += [[5, 1, 4, 37, 7, 5]]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+    proc = subprocess.run([sys.executable, "-c", PLANES_SAME_BITS_SCRIPT, json.dumps(cases)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    results = json.loads(proc.stdout)
+    assert len(results) == 2 * len(cases)
+    assert [(r["case"], r["dtype"]) for r in results if not (r["forward"] and r["input_gradient"])] == []
+    # each 3x3 F -> P conv with a batch above the row floor sums its planes, forward or
+    # as the input gradient of P -> F; a single image stays on the taps
+    planes = sorted({(tuple(r["case"][1:4]), tuple(r["layouts"])) for r in results if "planes" in r["layouts"]})
+    assert planes == sorted([((2, f, n), ("im2col", "planes")) for f in (16, 64) for n in (256, 128, 88)]
+                            + [((f, 2, n), ("planes", "im2col")) for f in (16, 64) for n in (256, 128, 88)])
+
+
+def test_conv_backward_makes_no_gradient_sized_copy(rng):
+    # 64 -> 64 at N = 256 in float32: grad_out arrives in a conv output's spatial-major
+    # memory, and backward's only gradient-sized array is grad_in; grad_w reads grad_out
+    # in place (it once zeroed two column-shifted copies of it)
+    import tracemalloc
+
+    conv = Conv2D(64, 64).reset(rng)
+    x = spatial_major_view(rng.standard_normal((256, 8, 8, 64)).astype(np.float32))
+    g = spatial_major_view(rng.standard_normal((256, 8, 8, 64)).astype(np.float32))
+    conv.forward(x)
+    conv.backward(g)  # the first backward allocates grad_w and grad_b
+    conv.forward(x)
+    tracemalloc.start()
+    try:
+        grad_in = conv.backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grad_in.nbytes == g.nbytes == 4 << 20
+    # the numpy path's one-row product buffer is an eighth of grad_out
+    assert peak < grad_in.nbytes + g.nbytes // 4
